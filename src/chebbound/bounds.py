@@ -17,6 +17,12 @@ replacing each level's growth factor with the explicit magnitude bound
 :func:`m_upper_bound` for the partial interpolants; it is never worse than
 the same-order telescoping bound.
 
+The magnitude bound's numerator is printed as a sum over all ``2^D`` axis
+masks; that sum telescopes to ``1 - prod_i (1 - x_i)``, so M costs O(D) in
+any dimension (there is no D <= 20 limit).  M depends on the *set* of axes
+only, so :func:`recursive_bound_B_min` computes it once per set of leading
+axes (at most ``2^D - 1`` values) while it searches the axis orders.
+
 All bounds are linear in ``V``, strictly decreasing in each ``rho_i``, and
 nonincreasing in each ``N_i``.  Values that mathematically underflow the
 smallest normal double are reported as 0.0 and flagged in the report's
@@ -55,9 +61,6 @@ __all__ = [
 
 #: permutation minimisation is exhaustive up to this dimension
 EXHAUSTIVE_ORDER_LIMIT = 8
-
-#: mask enumeration in m_upper_bound is exponential in the dimension
-_MASK_ENUMERATION_LIMIT = 20
 
 #: relative gap under which the A/B winner is reported as a tie
 _TIE_RTOL = 1e-15
@@ -374,20 +377,20 @@ def bound_a(
     return _finish(core, core_log, inputs.v_bound), sigma_star, search
 
 
+def _winner_tag(a: float, b: float) -> str:
+    """"A" or "B" for the smaller bound, "TIE" within ``_TIE_RTOL`` relative."""
+    if abs(a - b) <= _TIE_RTOL * max(a, b):
+        return "TIE"
+    return "A" if a < b else "B"
+
+
 def bound_combined(inputs: BoundInputs, variant: str = "consistent") -> BoundReport:
     """min(A, B) with full provenance: values, winner, best order, underflow."""
     a_value, sigma_star, search = bound_a(inputs, variant)
     b_value = bound_b(inputs)
     combined = min(a_value, b_value)
 
-    gap = abs(a_value - b_value)
-    scale = max(a_value, b_value)
-    if gap <= _TIE_RTOL * scale:
-        winner = "TIE"
-    elif a_value < b_value:
-        winner = "A"
-    else:
-        winner = "B"
+    winner = _winner_tag(a_value, b_value)
 
     underflow = []
     if inputs.v_bound > 0.0 and a_value == 0.0:
@@ -415,47 +418,41 @@ def bound_combined(inputs: BoundInputs, variant: str = "consistent") -> BoundRep
 def _m_core(
     radii: tuple[float, ...], degrees: tuple[int, ...], epsilon: float
 ) -> tuple[float, float]:
+    """(value, log) of M at V=1: 2^D (sum x_i + 1 - prod (1 - x_i)) / prod (1 - s/rho_i).
+
+    ``x_i = (s/rho_i)^(N_i+1)``.  Every step is symmetric in the axes (fsum,
+    max, and a product over sorted radii), so permuting the axes gives the
+    same double.
+    """
     d = len(radii)
-    if d > _MASK_ENUMERATION_LIMIT:
-        raise ValueError(
-            f"magnitude bound enumerates 2^D masks; D={d} exceeds the "
-            f"limit of {_MASK_ENUMERATION_LIMIT}"
-        )
     s = 1.0 + epsilon
     if s >= min(radii):
         raise ValueError(
             f"1 + epsilon = {s} must stay below every radius (min is {min(radii)})"
         )
     x_logs = [(n + 1) * (math.log(s) - math.log(r)) for r, n in zip(radii, degrees)]
-    x_vals = [
-        (s / r) ** (n + 1) if lg >= _POWER_LOG else math.exp(lg)
-        for r, n, lg in zip(radii, degrees, x_logs)
-    ]
+    top = max(x_logs)
+    if top >= _DIRECT_LOG:
+        x_vals = [
+            (s / r) ** (n + 1) if lg >= _POWER_LOG else math.exp(lg)
+            for r, n, lg in zip(radii, degrees, x_logs)
+        ]
+        # the sum over nonzero masks; at least max x_i, so it cannot underflow
+        union = -math.expm1(math.fsum(math.log1p(-x) for x in x_vals))
+        numer = math.fsum([*x_vals, union])
+        log_numer = math.log(numer)
+    else:
+        # every x_i is below exp(_DIRECT_LOG): pair products are below
+        # exp(2 * _DIRECT_LOG), so the mask sum equals sum x_i in doubles
+        # and the numerator is 2 sum x_i
+        log_numer = _LN2 + top + math.log(math.fsum(math.exp(lg - top) for lg in x_logs))
+        numer = math.exp(log_numer)
 
-    terms: list[tuple[float, float]] = []
-    for i in range(d):
-        terms.append((x_vals[i], x_logs[i]))
-    for mask in itertools.product((0, 1), repeat=d):
-        if not any(mask):
-            continue
-        power_log = math.fsum(x_logs[i] for i in range(d) if mask[i])
-        log_value = power_log + math.fsum(
-            math.log1p(-x_vals[i]) for i in range(d) if not mask[i]
-        )
-        if power_log >= _POWER_LOG:
-            value = 1.0
-            for i in range(d):
-                value *= x_vals[i] if mask[i] else 1.0 - x_vals[i]
-        else:
-            value = math.exp(log_value)
-        terms.append((value, log_value))
-
-    numer, log_numer = _sum_terms(terms)
     log_denom = math.fsum(math.log1p(-s / r) for r in radii)
     log_m = d * _LN2 + log_numer - log_denom
     if log_numer >= _DIRECT_LOG and log_m >= _DIRECT_LOG:
         denom = 1.0
-        for r in radii:
+        for r in sorted(radii):
             denom *= 1.0 - s / r
         return math.ldexp(numer / denom, d), log_m
     return math.exp(log_m), log_m
@@ -468,29 +465,64 @@ def m_upper_bound(inputs: BoundInputs, params: MParams | None = None) -> float:
     ``1 + params.epsilon``, given ``max |f| <= V`` on the original one.
     Strictly decreasing in each radius and each degree; at
     ``epsilon = 0``, D = 1, rho = 2 it collapses to ``V * 2^(2-N)``.
+
+    The numerator's sum over the ``2^D`` nonzero axis masks of
+    ``prod_{mask} x_i prod_{rest} (1 - x_i)``, with
+    ``x_i = ((1 + epsilon)/rho_i)^(N_i+1)``, telescopes to
+    ``1 - prod_i (1 - x_i)``, so the cost is O(D) and any dimension is
+    accepted, where enumerating the masks limited D to 20.  The result
+    depends on the set of axes only: permuting them gives the same double.
     """
     params = params or MParams()
     core, core_log = _m_core(inputs.radii.values, inputs.budget.degrees, params.epsilon)
     return _finish(core, core_log, inputs.v_bound)
 
 
-def _recursive_core(
+def _recursive_evaluator(
     radii: tuple[float, ...], degrees: tuple[int, ...], epsilon: float
-) -> tuple[float, float]:
+):
+    """evaluate(sigma) -> (value, log) of the recursive bound at V=1 in order sigma.
+
+    The univariate cores are computed once, and M once per set of leading
+    axes, on first use: the last axis of an order is never a leading axis,
+    so only it may have ``rho <= 1 + epsilon``.
+    """
     d = len(radii)
-    terms: list[tuple[float, float]] = [
-        _univ_core(r, n) for r, n in zip(radii, degrees)
-    ]
-    for k in range(2, d + 1):
-        m_value, m_log = _m_core(radii[: k - 1], degrees[: k - 1], epsilon)
-        u_value, u_log = _univ_core(radii[k - 1], degrees[k - 1])
-        log_value = m_log + u_log
-        if m_log >= _POWER_LOG and u_log >= _POWER_LOG and log_value >= _POWER_LOG:
-            value = m_value * u_value
-        else:
-            value = math.exp(log_value)
-        terms.append((value, log_value))
-    return _sum_terms(terms)
+    univ = [_univ_core(r, n) for r, n in zip(radii, degrees)]
+    m_by_set: dict[int, tuple[float, float]] = {}
+
+    def evaluate(sigma: tuple[int, ...]) -> tuple[float, float]:
+        terms = list(univ)
+        leading = 0  # bit set of the axes before level k
+        for k in range(1, d):
+            leading |= 1 << sigma[k - 1]
+            m = m_by_set.get(leading)
+            if m is None:
+                axes = [i for i in range(d) if leading >> i & 1]
+                m = m_by_set[leading] = _m_core(
+                    tuple(radii[i] for i in axes),
+                    tuple(degrees[i] for i in axes),
+                    epsilon,
+                )
+            m_value, m_log = m
+            u_value, u_log = univ[sigma[k]]
+            log_value = m_log + u_log
+            if m_log >= _POWER_LOG and u_log >= _POWER_LOG and log_value >= _POWER_LOG:
+                value = m_value * u_value
+            else:
+                value = math.exp(log_value)
+            terms.append((value, log_value))
+        return _sum_terms(terms)
+
+    return evaluate
+
+
+def _recursive_min_core(
+    radii: tuple[float, ...], degrees: tuple[int, ...], epsilon: float
+):
+    """((value, log), sigma_star, search) of the recursive bound at V=1."""
+    evaluate = _recursive_evaluator(radii, degrees, epsilon)
+    return _minimise_over_orders(evaluate, radii, len(radii))
 
 
 def recursive_bound_B(inputs: BoundInputs, params: MParams | None = None) -> float:
@@ -503,9 +535,10 @@ def recursive_bound_B(inputs: BoundInputs, params: MParams | None = None) -> flo
     exceeds :func:`bound_a_for_sigma`.
     """
     params = params or MParams()
-    core, core_log = _recursive_core(
+    evaluate = _recursive_evaluator(
         inputs.radii.values, inputs.budget.degrees, params.epsilon
     )
+    core, core_log = evaluate(tuple(range(inputs.dimension)))
     return _finish(core, core_log, inputs.v_bound)
 
 
@@ -517,18 +550,7 @@ def recursive_bound_B_min(
     Same return convention and search strategy as :func:`bound_a`.
     """
     params = params or MParams()
-    radii = inputs.radii.values
-    degrees = inputs.budget.degrees
-    eps = params.epsilon
-
-    def evaluate(sigma: tuple[int, ...]) -> tuple[float, float]:
-        return _recursive_core(
-            tuple(radii[s] for s in sigma),
-            tuple(degrees[s] for s in sigma),
-            eps,
-        )
-
-    (core, core_log), sigma_star, search = _minimise_over_orders(
-        evaluate, radii, inputs.dimension
+    (core, core_log), sigma_star, search = _recursive_min_core(
+        inputs.radii.values, inputs.budget.degrees, params.epsilon
     )
     return _finish(core, core_log, inputs.v_bound), sigma_star, search

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -76,6 +77,27 @@ def _int_list(text: str) -> tuple[int, ...]:
     if not values:
         raise ValueError("empty list")
     return values
+
+
+#: flags taking a comma or colon list, whose first value may be negative
+_LIST_FLAGS = frozenset({"--rho", "--n", "--probe", "--domain", "--rho-range"})
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _attach_negative_lists(argv: list[str]) -> list[str]:
+    """Rewrite ``--probe -0.5,1`` as ``--probe=-0.5,1``.
+
+    argparse reads any token starting with ``-`` as an option unless it is
+    one plain negative number, so a list whose first value is negative
+    needs the ``=`` form.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _LIST_FLAGS and _NEGATIVE_VALUE.match(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _rho_range(text: str) -> tuple[float, float]:
@@ -594,7 +616,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_negative_lists(sys.argv[1:] if argv is None else list(argv))
+        )
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help
         return int(exc.code) if exc.code is not None else 0

@@ -40,6 +40,9 @@ V_SAFETY = 1.01
 
 _CONTAINS_SLACK = 1e-12
 
+#: boundary points per block in :func:`estimate_V`; caps its working memory
+_SCAN_BLOCK = 2**16
+
 
 @dataclass(frozen=True)
 class EllipseRadii:
@@ -202,14 +205,14 @@ def estimate_V(
     """
     grids = _angle_grids(ellipse, resolution)
     curves = [ellipse.axis_boundary(i, grids[i]) for i in range(ellipse.dimension)]
+    shape = tuple(c.size for c in curves)
+    total = math.prod(shape)
     best = 0.0
-    # slab the leading axis so huge default grids stay within memory
-    lead = curves[0]
-    rest = curves[1:]
-    step = max(1, int(2**22 // max(1, int(np.prod([c.size for c in rest])))))
-    for start in range(0, lead.size, step):
-        mesh = np.meshgrid(lead[start : start + step], *rest, indexing="ij")
-        pts = np.stack(mesh, axis=-1)
+    # blocks of the flattened torus index keep memory bounded for every
+    # dimension and resolution; the maximum does not depend on the blocking
+    for start in range(0, total, _SCAN_BLOCK):
+        index = np.unravel_index(np.arange(start, min(start + _SCAN_BLOCK, total)), shape)
+        pts = np.stack([c[i] for c, i in zip(curves, index)], axis=-1)
         vals = np.abs(np.asarray(f(pts)))
         if not np.all(np.isfinite(vals)):
             raise ValueError(

@@ -37,7 +37,7 @@ from .bounds import (
     _bound_b_core,
     _finish,
     _minimise_over_orders,
-    _recursive_core,
+    _recursive_min_core,
     bound_a,
     bound_b,
     bound_combined,
@@ -209,12 +209,7 @@ def _make_evaluator(selector: str, radii: tuple[float, ...], v: float):
     if selector == "RECURSIVE":
 
         def bnd(degrees: tuple[int, ...]) -> float:
-            def reordered(s: tuple[int, ...]) -> tuple[float, float]:
-                return _recursive_core(
-                    tuple(radii[i] for i in s), tuple(degrees[i] for i in s), 0.0
-                )
-
-            (core, core_log), _, _ = _minimise_over_orders(reordered, radii, d)
+            (core, core_log), _, _ = _recursive_min_core(radii, degrees, 0.0)
             return _finish(core, core_log, v)
 
         return bnd

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import jsonio
-from .bounds import BoundInputs, bound_a, bound_b, bound_combined
+from .bounds import BoundInputs, _winner_tag, bound_a, bound_b, bound_combined
 from .ellipse import (
     EllipseRadii,
     GeneralizedBernsteinEllipse,
@@ -566,14 +566,6 @@ def coefficient_decay_check(f: TestFunction, rho: float, n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # A-vs-B crossover scan
-
-
-def _winner_tag(a: float, b: float) -> str:
-    gap = abs(a - b)
-    scale = max(a, b)
-    if gap <= 1e-15 * scale:
-        return "TIE"
-    return "A" if a < b else "B"
 
 
 def _scan_point(rho: float, n: int, d: int, v: float) -> tuple[float, float]:

@@ -4,10 +4,14 @@ Expected values were generated by the independent 60-digit evaluator in
 ``highprec.py`` and frozen here as literals.
 """
 
+import itertools
 import math
+import random
 
 import pytest
+from mpmath import mp, mpf
 
+import highprec as hp
 from chebbound.bounds import (
     BoundInputs,
     MParams,
@@ -171,12 +175,103 @@ class TestOrderSearch:
             rng.shuffle(order)
             assert value <= bound_a_for_sigma(inputs, tuple(order)) * (1 + 1e-12)
 
+    def test_recursive_min_equals_recursive_at_sigma_star(self):
+        """The memoised search reports exactly recursive_bound_B at its order."""
+        rng = random.Random(0x5E)
+        for d in range(2, 7):
+            for _ in range(4):
+                rho = tuple(rng.uniform(1.2, 12.0) for _ in range(d))
+                n = tuple(rng.randint(0, 60) for _ in range(d))
+                eps = rng.choice((0.0, 0.1 * (min(rho) - 1.0)))
+                value, sigma, search = recursive_bound_B_min(
+                    make(rho, n, 3.0), MParams(eps)
+                )
+                assert search == "EXHAUSTIVE"
+                at_sigma = make(
+                    tuple(rho[s] for s in sigma), tuple(n[s] for s in sigma), 3.0
+                )
+                assert value == recursive_bound_B(at_sigma, MParams(eps))
+                if d <= 4:  # and it is the minimum over every order
+                    with mp.workdps(hp.DPS):
+                        best = min(
+                            hp.recursive_bound_B(
+                                [rho[s] for s in order], [n[s] for s in order], 3.0, eps
+                            )
+                            for order in itertools.permutations(range(d))
+                        )
+                        assert float(abs(mpf(value) - best) / best) <= 1e-12
+
     def test_recursive_min_beats_identity(self):
         inputs = make((2.3, 2.5), (10, 10))
         value, sigma, search = recursive_bound_B_min(inputs)
         assert value <= recursive_bound_B(inputs) * (1 + 1e-15)
         assert search == "EXHAUSTIVE"
         assert sorted(sigma) == [0, 1]
+
+
+def _random_m_case(rng: random.Random, d: int):
+    """(rho, n, v, eps) with every x_i = (s/rho_i)^(N_i+1) in one regime."""
+    eps = rng.choice((0.0, 0.125, 0.5, rng.uniform(0.0, 0.5)))
+    s = 1.0 + eps
+    regime = rng.choice(("mixed", "tiny", "near-one"))
+    if regime == "tiny":  # every x_i below exp(-700): the log-space path
+        # large radii at high d keep the grid size below the addressable cap
+        rho = tuple(rng.uniform(8.0, 12.0) if d <= 6 else rng.uniform(40.0, 50.0) for _ in range(d))
+        n = tuple(math.ceil(700.0 / math.log(r / s)) + rng.randint(0, 10) for r in rho)
+        return rho, n, 1e300, eps
+    if regime == "near-one":  # radius just above 1 + eps, low degree
+        rho = tuple(s * (1.0 + rng.uniform(1e-3, 1e-2)) for _ in range(d))
+        n = tuple(rng.randint(0, 3) for _ in range(d))
+        return rho, n, 1.0, eps
+    rho = tuple(rng.uniform(s + 0.05, 30.0) for _ in range(d))
+    n = tuple(rng.randint(0, 200) for _ in range(d))
+    return rho, n, rng.uniform(1e-3, 10.0), eps
+
+
+class TestClosedFormM:
+    """M's 2^D-mask numerator, summed as 1 - prod (1 - x_i)."""
+
+    def test_matches_oracle(self):
+        rng = random.Random(0x4D)
+        worst = 0.0
+        for _ in range(240):
+            d = rng.randint(1, 8)
+            rho, n, v, eps = _random_m_case(rng, d)
+            got = m_upper_bound(make(rho, n, v), MParams(eps))
+            with mp.workdps(hp.DPS):
+                want = hp.m_upper_bound(rho, n, v, eps)
+                assert want > mpf("2.3e-308")  # every case stays in the normal range
+                worst = max(worst, float(abs(mpf(got) - want) / want))
+        assert worst <= 1e-12
+
+    def test_beyond_twenty_axes(self):
+        d = 24
+        rho = tuple(1.5 + 0.25 * i for i in range(d))
+        n = tuple(2 + i % 5 for i in range(d))
+        eps = 0.125
+        got = m_upper_bound(make(rho, n, 2.0), MParams(eps))
+        with mp.workdps(hp.DPS):
+            s = 1 + mpf(eps)
+            x = [(s / mpf(r)) ** (k + 1) for r, k in zip(rho, n)]
+            union = 1 - mp.fprod(1 - xi for xi in x)
+            denom = mp.fprod(1 - s / mpf(r) for r in rho)
+            want = 2 ** mpf(d) * 2 * (mp.fsum(x) + union) / denom
+            assert float(abs(mpf(got) - want) / want) <= 1e-12
+
+    def test_symmetric_in_the_axes(self):
+        """Permuting the axes gives the same double, not just a close one."""
+        rng = random.Random(0x5F)
+        for _ in range(60):
+            d = rng.randint(2, 8)
+            rho, n, v, eps = _random_m_case(rng, d)
+            base = m_upper_bound(make(rho, n, v), MParams(eps))
+            for _ in range(5):
+                order = list(range(d))
+                rng.shuffle(order)
+                permuted = make(
+                    tuple(rho[i] for i in order), tuple(n[i] for i in order), v
+                )
+                assert m_upper_bound(permuted, MParams(eps)) == base
 
 
 class TestProperties:

@@ -159,6 +159,25 @@ class TestInterp:
         assert code == 0
         assert json.loads(out)["domain"] == [[0.0, 2.0]]
 
+    def test_negative_leading_list_value(self, capsys):
+        """A list flag takes a negative first value without the = form."""
+        spaced = run(
+            capsys, "interp", "--function", "exp-d3", "--n", "14,14,14",
+            "--probe", "-0.48,0.63,0.78",
+        )
+        joined = run(
+            capsys, "interp", "--function", "exp-d3", "--n", "14,14,14",
+            "--probe=-0.48,0.63,0.78",
+        )
+        assert spaced[0] == 0
+        assert spaced == joined
+        domain = run(
+            capsys, "interp", "--function", "poly-cubic-d1", "--domain", "-2:1",
+            "--n", "3", "--probe", "-1.5", "--format", "json",
+        )
+        assert domain[0] == 0
+        assert json.loads(domain[1])["domain"] == [[-2.0, 1.0]]
+
     def test_wrong_probe_arity(self, capsys):
         code, _, err = run(
             capsys, "interp", "--function", "exp-d2", "--n", "4,4", "--probe", "0.5"

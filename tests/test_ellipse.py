@@ -1,11 +1,14 @@
 """Tests for the generalized ellipse geometry and magnitude estimation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from chebbound import ellipse as ellipse_module
 from chebbound.ellipse import (
+    V_SAFETY,
     EllipseRadii,
     GeneralizedBernsteinEllipse,
     boundary_scan,
@@ -17,6 +20,7 @@ from chebbound.ellipse import (
     transform_tau,
 )
 from chebbound.interpolation import Hyperrectangle
+from chebbound.verification import builtin_families, separable_rational
 
 
 class TestEllipseRadii:
@@ -141,6 +145,37 @@ class TestEstimateV:
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="singularity"):
                 estimate_V(lambda z: 1.0 / (1.25 - z[..., 0]), ell)
+
+    def test_blocks_match_whole_torus_scan(self, monkeypatch):
+        """Blocking the torus index changes nothing: V equals one whole-torus scan."""
+        monkeypatch.setattr(ellipse_module, "_SCAN_BLOCK", 1000)  # ragged last block
+        for d, resolution in ((1, 2500), (2, 48), (3, 16)):
+            for f in builtin_families(d):
+                radii = EllipseRadii(
+                    tuple(0.9 * r if math.isfinite(r) else 3.0 for r in f.admissible_rho)
+                )
+                ell = GeneralizedBernsteinEllipse(f.domain, radii)
+                curves = [
+                    ell.axis_boundary(i, 2.0 * np.pi * np.arange(resolution) / resolution)
+                    for i in range(d)
+                ]
+                pts = np.stack(np.meshgrid(*curves, indexing="ij"), axis=-1)
+                whole = V_SAFETY * float(np.abs(f.evaluator(pts)).max())
+                assert estimate_V(f.evaluator, ell, resolution=resolution) == whole
+
+    def test_memory_bounded_in_four_dimensions(self):
+        """16.8 M boundary points in bounded memory (a whole-torus scan takes ~1 GB)."""
+        ell = GeneralizedBernsteinEllipse(Hyperrectangle.unit(4), EllipseRadii((1.5,) * 4))
+        f = separable_rational((2.0,) * 4)
+        tracemalloc.start()
+        try:
+            v = estimate_V(f.evaluator, ell, resolution=64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        # the maximum sits at the real vertex 13/12 of every axis ellipse
+        assert v == pytest.approx(V_SAFETY / (2.0 - 13.0 / 12.0) ** 4, rel=1e-12)
 
     def test_deterministic(self):
         ell = GeneralizedBernsteinEllipse(Hyperrectangle.unit(1), EllipseRadii((1.7,)))
