@@ -22,7 +22,6 @@ from .bounds import (
 from .ellipse import (
     EllipseRadii,
     GeneralizedBernsteinEllipse,
-    boundary_scan,
     contains,
     ellipse_boundary_point,
     estimate_V,
@@ -98,7 +97,6 @@ __all__ = [
     "contains",
     "rho_for_real_singularity",
     "estimate_V",
-    "boundary_scan",
     # bounds
     "BoundInputs",
     "BoundReport",

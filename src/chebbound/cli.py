@@ -1,5 +1,7 @@
 """Command-line front end: bounds, node planning, interpolation, verification, sweeps.
 
+Each subcommand builds one record, the document that ``--format json``
+prints, and :func:`_emit` renders it as JSON, CSV or a two-column table.
 All output is deterministic: identical invocations produce byte-identical
 bytes.  Floats are printed with 17 significant digits in ``json`` and
 ``csv`` formats and 6 in ``table`` format.
@@ -10,8 +12,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
-import os
 import re
 import sys
 
@@ -24,41 +26,13 @@ from .interpolation import Hyperrectangle, NodeBudget, evaluate, interpolate
 from .planner import PLAN_SELECTORS, PlanRequest, compare_plans, plan_nodes
 from . import verification
 
-__all__ = ["main", "thread_cap"]
+__all__ = ["main"]
 
 FORMATS = ("table", "json", "csv")
-
-#: published reference values shown alongside computed bounds when the
-#: inputs match a worked example exactly (see verification.reference_report)
-_REFERENCE_NOTES = {
-    ((2.3, 1.8), (10, 10), 1.0): {"a": 0.0066, "b": 0.0018},
-    ((2.3, 2.5), (10, 10), 1.0): {"a": 0.0011, "b": 0.0017},
-}
 
 
 class CliUsageError(ValueError):
     """Bad flag combination or value; rendered to stderr with exit code 2."""
-
-
-def thread_cap() -> int:
-    """Parallelism cap from CHEBBOUND_THREADS (0 = auto, the default).
-
-    Every computation in this package currently runs sequentially per
-    invocation, which satisfies any cap; the variable is still validated
-    so misconfiguration fails loudly rather than silently.
-    """
-    raw = os.environ.get("CHEBBOUND_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise CliUsageError(
-            f"CHEBBOUND_THREADS: expected a non-negative integer, got {raw!r}"
-        ) from None
-    if cap < 0:
-        raise CliUsageError(
-            f"CHEBBOUND_THREADS: expected a non-negative integer, got {raw!r}"
-        )
-    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +97,20 @@ def _check_rho(rho: tuple[float, ...]) -> None:
             raise CliUsageError(f"--rho: rho must exceed 1, got {r}")
 
 
-def _budget_str(degrees: tuple[int, ...]) -> str:
-    return "(" + ", ".join(str(n) for n in degrees) + ")"
+def _emit(fmt: str, doc, table_rows: list[tuple[str, object]], csv: str) -> None:
+    """Print the record ``doc`` as JSON, the rendered ``csv`` text, or a table."""
+    if fmt == "json":
+        print(jsonio.dumps(doc))
+    elif fmt == "csv":
+        sys.stdout.write(csv)
+    else:
+        print(jsonio.table_text(table_rows))
 
 
-def _table(rows: list[tuple[str, str]]) -> str:
-    width = max(len(key) for key, _ in rows)
-    return "\n".join(f"{key.ljust(width)}  {value}" for key, value in rows)
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return jsonio.table_cell(value)
-    return str(value)
+def _write_csv(path: str | None, text: str) -> None:
+    if path is not None:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -161,47 +136,29 @@ def cmd_bound(args: argparse.Namespace) -> int:
     doc = report.to_json_dict()
     doc["recursive"] = recursive
     doc["epsilon"] = args.epsilon
-    note = _REFERENCE_NOTES.get((tuple(rho), tuple(n), v))
+    note = verification.PUBLISHED_BOUNDS.get((tuple(rho), tuple(n), v))
     if note is not None:
         doc["published_reference"] = dict(note)
 
-    if args.format == "json":
-        print(jsonio.dumps(doc))
-    elif args.format == "csv":
-        print("rho,n,v,variant,a,b,combined,winner,sigma_star,recursive")
+    table = [
+        ("a", doc["a"]),
+        ("b", doc["b"]),
+        ("combined", doc["combined"]),
+        ("winner", doc["winner"]),
+        ("sigma*", doc["sigma_star"]),
+        ("variant", doc["variant"]),
+        ("recursive", doc["recursive"]),
+    ]
+    columns = (
+        "rho", "n", "v", "variant", "a", "b", "combined", "winner", "sigma_star", "recursive"
+    )
+    _emit(args.format, doc, table, jsonio.csv_text(columns, [doc]))
+    if args.format == "table" and note is not None:
         print(
-            jsonio.csv_line(
-                [
-                    " ".join(jsonio.format_float(r) for r in rho),
-                    " ".join(str(k) for k in n),
-                    jsonio.format_float(v),
-                    args.variant,
-                    jsonio.format_float(report.a_value),
-                    jsonio.format_float(report.b_value),
-                    jsonio.format_float(report.combined),
-                    report.winner,
-                    " ".join(str(s + 1) for s in report.sigma_star),
-                    jsonio.format_float(recursive),
-                ]
-            )
+            f"note: published reference values for these inputs: "
+            f"a={note['a']}, b={note['b']} (computed values differ; "
+            f"see the reproduction report)"
         )
-    else:
-        rows = [
-            ("a", _cell(report.a_value)),
-            ("b", _cell(report.b_value)),
-            ("combined", _cell(report.combined)),
-            ("winner", report.winner),
-            ("sigma*", _budget_str(tuple(s + 1 for s in report.sigma_star))),
-            ("variant", report.variant),
-            ("recursive", _cell(recursive)),
-        ]
-        print(_table(rows))
-        if note is not None:
-            print(
-                f"note: published reference values for these inputs: "
-                f"a={note['a']}, b={note['b']} (computed values differ; "
-                f"see the reproduction report)"
-            )
     return 0
 
 
@@ -218,75 +175,39 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
     radii = EllipseRadii(args.rho)
     if args.selector == "all":
-        comparison = compare_plans(radii, args.v, args.eps)
+        comparison = compare_plans(radii, args.v, args.eps).to_json_dict()
         doc = {
-            "request": {
-                "rho": list(args.rho),
-                "v": args.v,
-                "epsilon_target": args.eps,
-            },
-            "plans": comparison.to_json_dict()["plans"],
-            "savings_vs_b": comparison.to_json_dict()["savings_vs_b"],
+            "request": {"rho": list(args.rho), "v": args.v, "epsilon_target": args.eps},
+            **comparison,
         }
-        if args.format == "json":
-            print(jsonio.dumps(doc))
-        elif args.format == "csv":
-            print("selector,budget,grid_points,certified_bound,savings_vs_b")
-            for key in PLAN_SELECTORS:
-                plan = comparison.plans[key]
-                print(
-                    jsonio.csv_line(
-                        [
-                            key,
-                            " ".join(str(d) for d in plan.budget.degrees),
-                            str(plan.grid_points),
-                            jsonio.format_float(plan.certified_bound),
-                            jsonio.format_float(comparison.savings_vs_b[key]),
-                        ]
-                    )
-                )
-        else:
-            rows = []
-            for key in PLAN_SELECTORS:
-                plan = comparison.plans[key]
-                rows.append(
-                    (
-                        key,
-                        f"budget {_budget_str(plan.budget.degrees)}  "
-                        f"grid points {plan.grid_points}  "
-                        f"certified bound {_cell(plan.certified_bound)}  "
-                        f"savings vs B {_cell(comparison.savings_vs_b[key])}",
-                    )
-                )
-            print(_table(rows))
+        rows = [
+            dict(comparison["plans"][key], savings_vs_b=comparison["savings_vs_b"][key])
+            for key in PLAN_SELECTORS
+        ]
+        # one composite line per selector
+        table = [
+            (
+                row["selector"],
+                f"budget {jsonio.table_cell(row['budget'])}  "
+                f"grid points {row['grid_points']}  "
+                f"certified bound {jsonio.table_cell(row['certified_bound'])}  "
+                f"savings vs B {jsonio.table_cell(row['savings_vs_b'])}",
+            )
+            for row in rows
+        ]
+        columns = ("selector", "budget", "grid_points", "certified_bound", "savings_vs_b")
+        _emit(args.format, doc, table, jsonio.csv_text(columns, rows))
         return 0
 
-    plan = plan_nodes(PlanRequest(radii, args.v, args.eps, args.selector.upper()))
-    if args.format == "json":
-        print(plan.to_json())
-    elif args.format == "csv":
-        print("selector,budget,grid_points,certified_bound")
-        print(
-            jsonio.csv_line(
-                [
-                    plan.request.selector,
-                    " ".join(str(d) for d in plan.budget.degrees),
-                    str(plan.grid_points),
-                    jsonio.format_float(plan.certified_bound),
-                ]
-            )
-        )
-    else:
-        print(
-            _table(
-                [
-                    ("selector", plan.request.selector),
-                    ("budget", _budget_str(plan.budget.degrees)),
-                    ("grid points", str(plan.grid_points)),
-                    ("certified bound", _cell(plan.certified_bound)),
-                ]
-            )
-        )
+    doc = plan_nodes(PlanRequest(radii, args.v, args.eps, args.selector.upper())).to_json_dict()
+    table = [
+        ("selector", doc["selector"]),
+        ("budget", doc["budget"]),
+        ("grid points", doc["grid_points"]),
+        ("certified bound", doc["certified_bound"]),
+    ]
+    columns = ("selector", "budget", "grid_points", "certified_bound")
+    _emit(args.format, doc, table, jsonio.csv_text(columns, [doc]))
     return 0
 
 
@@ -335,7 +256,6 @@ def cmd_interp(args: argparse.Namespace) -> int:
     probe = np.asarray(args.probe, dtype=float)
     value = evaluate(interp, probe)
     truth = float(np.asarray(f.evaluator(probe), dtype=float))
-    probe_error = abs(value - truth)
     sup = verification.sup_error(
         f, interp, verification.DEFAULT_PROBE_RESOLUTION.get(d, 65)
     )
@@ -353,7 +273,7 @@ def cmd_interp(args: argparse.Namespace) -> int:
         "probe": [float(p) for p in probe],
         "value": value,
         "true_value": truth,
-        "probe_error": probe_error,
+        "probe_error": abs(value - truth),
         "sup_error_estimate": sup,
         "v_estimate": v_hat,
         "a": report.a_value,
@@ -361,72 +281,14 @@ def cmd_interp(args: argparse.Namespace) -> int:
         "combined": report.combined,
         "winner": report.winner,
     }
-    if args.format == "json":
-        print(jsonio.dumps(doc))
-    elif args.format == "csv":
-        keys = list(doc)
-        print(",".join(keys))
-        print(
-            jsonio.csv_line(
-                [
-                    doc["function"],
-                    ";".join(
-                        f"{jsonio.format_float(lo)}:{jsonio.format_float(hi)}"
-                        for lo, hi in f.domain.axes
-                    ),
-                    " ".join(str(k) for k in doc["n"]),
-                    " ".join(jsonio.format_float(r) for r in doc["rho"]),
-                    " ".join(jsonio.format_float(p) for p in doc["probe"]),
-                    jsonio.format_float(doc["value"]),
-                    jsonio.format_float(doc["true_value"]),
-                    jsonio.format_float(doc["probe_error"]),
-                    jsonio.format_float(doc["sup_error_estimate"]),
-                    jsonio.format_float(doc["v_estimate"]),
-                    jsonio.format_float(doc["a"]),
-                    jsonio.format_float(doc["b"]),
-                    jsonio.format_float(doc["combined"]),
-                    doc["winner"],
-                ]
-            )
-        )
-    else:
-        rows = [
-            ("function", f.id),
-            ("domain", ", ".join(f"[{_cell(lo)}, {_cell(hi)}]" for lo, hi in f.domain.axes)),
-            ("n", _budget_str(budget.degrees)),
-            ("rho", "(" + ", ".join(_cell(r) for r in rho) + ")"),
-            ("probe", "(" + ", ".join(_cell(float(p)) for p in probe) + ")"),
-            ("value", _cell(value)),
-            ("true value", _cell(truth)),
-            ("probe error", _cell(probe_error)),
-            ("sup error estimate", _cell(sup)),
-            ("V estimate", _cell(v_hat)),
-            ("a", _cell(report.a_value)),
-            ("b", _cell(report.b_value)),
-            ("combined bound", _cell(report.combined)),
-            ("winner", report.winner),
-        ]
-        print(_table(rows))
+    labels = {"v_estimate": "V estimate", "combined": "combined bound"}
+    table = [(labels.get(key, key.replace("_", " ")), cell) for key, cell in doc.items()]
+    _emit(args.format, doc, table, jsonio.csv_text(list(doc), [doc]))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # verify
-
-
-def _record_dict(r: verification.VerificationRecord) -> dict:
-    return {
-        "function_id": r.function_id,
-        "domain": [list(ax) for ax in r.domain.axes],
-        "radii": list(r.radii),
-        "v_estimate": r.v_estimate,
-        "budget": list(r.budget),
-        "empirical_error": r.empirical_error,
-        "bound_a": r.bound_a,
-        "bound_b": r.bound_b,
-        "bound_combined": r.bound_combined,
-        "passed": r.passed,
-    }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -436,36 +298,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else verification.quick_suite()
     )
     failed = [r for r in records if not r.passed]
-    csv_text = verification.records_to_csv(records)
-    if args.csv is not None:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv_text)
+    csv = verification.records_to_csv(records)
+    _write_csv(args.csv, csv)
 
-    if args.format == "json":
-        print(
-            jsonio.dumps(
-                {
-                    "suite": args.suite,
-                    "records": [_record_dict(r) for r in records],
-                    "total": len(records),
-                    "failed": len(failed),
-                    "passed": not failed,
-                }
-            )
-        )
-    elif args.format == "csv":
-        sys.stdout.write(csv_text)
-    else:
-        print(
-            _table(
-                [
-                    ("suite", args.suite),
-                    ("records", str(len(records))),
-                    ("passed", str(len(records) - len(failed))),
-                    ("failed", str(len(failed))),
-                ]
-            )
-        )
+    doc = {
+        "suite": args.suite,
+        "records": [r.to_json_dict() for r in records],
+        "total": len(records),
+        "failed": len(failed),
+        "passed": not failed,
+    }
+    table = [
+        ("suite", args.suite),
+        ("records", len(records)),
+        ("passed", len(records) - len(failed)),
+        ("failed", len(failed)),
+    ]
+    _emit(args.format, doc, table, csv)
+    if args.format == "table":
         for r in failed:
             print(
                 f"FAILED {r.function_id} radii={r.radii} budget={r.budget} "
@@ -491,31 +341,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CliUsageError(f"--d: dimension must be >= 1, got {args.d}")
 
     records = verification.crossover_scan(args.n, args.d, lo, hi, args.steps, args.v)
-    csv_text = verification.scan_to_csv(records)
-    if args.csv is not None:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv_text)
+    csv = verification.scan_to_csv(records)
+    _write_csv(args.csv, csv)
 
-    if args.format == "json":
-        print(
-            jsonio.dumps(
-                [
-                    {"rho": r.rho, "a": r.a, "b": r.b, "winner": r.winner}
-                    for r in records
-                ]
-            )
-        )
-    elif args.format == "table":
-        crossings = [r for r in records if r.winner == "CROSSOVER"]
-        rows = [
-            ("scan points", str(len(records) - len(crossings))),
-            ("crossings", str(len(crossings))),
-        ]
-        for i, r in enumerate(crossings):
-            rows.append((f"crossover {i + 1}", _cell(r.rho)))
-        print(_table(rows))
-    else:
-        sys.stdout.write(csv_text)
+    crossings = [r.rho for r in records if r.winner == "CROSSOVER"]
+    table = [("scan points", len(records) - len(crossings)), ("crossings", len(crossings))]
+    table += [(f"crossover {i + 1}", rho) for i, rho in enumerate(crossings)]
+    _emit(args.format, [dataclasses.asdict(r) for r in records], table, csv)
     return 0
 
 
@@ -623,12 +455,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 for --help
         return int(exc.code) if exc.code is not None else 0
     try:
-        thread_cap()
         return args.handler(args)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # CliUsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,7 +29,6 @@ __all__ = [
     "contains",
     "rho_for_real_singularity",
     "estimate_V",
-    "boundary_scan",
 ]
 
 #: radii this close to 1 are degenerate; the constructor refuses them
@@ -222,21 +221,3 @@ def estimate_V(
         best = max(best, float(vals.max()))
     return V_SAFETY * best
 
-
-def boundary_scan(
-    f: Callable[[NDArray[np.complex128]], NDArray[np.complex128]],
-    ellipse: GeneralizedBernsteinEllipse,
-    resolution=64,
-):
-    """Yield (angle indices, point, |f|) rows over the boundary torus.
-
-    Debugging helper behind the CLI's boundary dump; row order is the
-    lexicographic angle-index order.
-    """
-    grids = _angle_grids(ellipse, resolution)
-    curves = [ellipse.axis_boundary(i, grids[i]) for i in range(ellipse.dimension)]
-    mesh = np.meshgrid(*curves, indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    vals = np.abs(np.asarray(f(pts)))
-    for idx in np.ndindex(*vals.shape):
-        yield tuple(int(i) for i in idx), pts[idx], float(vals[idx])

@@ -13,7 +13,8 @@ use a hard-coded seed, and boundary scans use uniform angle grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -107,6 +108,9 @@ class VerificationRecord:
     bound_b: float
     bound_combined: float
     passed: bool
+
+    def to_json_dict(self) -> dict:
+        return dict(vars(self), domain=[list(ax) for ax in self.domain.axes])
 
 
 @dataclass(frozen=True)
@@ -252,28 +256,32 @@ def polynomial_product(
     )
 
 
+#: builtin id -> factory(domain=..., id=...), in builtin_families() order
+_BUILTINS = {
+    "sep-rational-d1": partial(separable_rational, (1.25,)),
+    "sep-rational-d1-wide": partial(separable_rational, (3.0,)),
+    "exp-d1": partial(entire_exponential, (1.0,)),
+    "nonsep-rational-d1": partial(nonseparable_rational, 2.0, (1.0,)),
+    "poly-cubic-d1": partial(polynomial_product, 1),
+    "sep-rational-d2": partial(separable_rational, (1.3, 1.6)),
+    "sep-rational-d2-wide": partial(separable_rational, (2.0, 3.0)),
+    "exp-d2": partial(entire_exponential, (1.0, -0.5)),
+    "nonsep-rational-d2": partial(nonseparable_rational, 2.0, (0.5, 0.5)),
+    "poly-cubic-d2": partial(polynomial_product, 2),
+    "sep-rational-d3": partial(separable_rational, (1.3, 1.6, 2.2)),
+    "exp-d3": partial(entire_exponential, (0.8, -0.5, 0.3)),
+    "nonsep-rational-d3": partial(nonseparable_rational, 2.5, (0.5, 0.5, 0.5)),
+    "poly-cubic-d3": partial(polynomial_product, 3),
+}
+
+
 def builtin_families(dimension: int | None = None) -> list[TestFunction]:
     """The deterministic builtin list, optionally filtered by dimension.
 
     Rational families get admissible radii computed from their poles, not
     guessed; exponential and polynomial families are entire.
     """
-    fams = [
-        separable_rational((1.25,)),
-        separable_rational((3.0,), id="sep-rational-d1-wide"),
-        entire_exponential((1.0,)),
-        nonseparable_rational(2.0, (1.0,)),
-        polynomial_product(1),
-        separable_rational((1.3, 1.6)),
-        separable_rational((2.0, 3.0), id="sep-rational-d2-wide"),
-        entire_exponential((1.0, -0.5)),
-        nonseparable_rational(2.0, (0.5, 0.5)),
-        polynomial_product(2),
-        separable_rational((1.3, 1.6, 2.2)),
-        entire_exponential((0.8, -0.5, 0.3)),
-        nonseparable_rational(2.5, (0.5, 0.5, 0.5)),
-        polynomial_product(3),
-    ]
+    fams = [factory(id=function_id) for function_id, factory in _BUILTINS.items()]
     if dimension is None:
         return fams
     return [f for f in fams if f.dimension == dimension]
@@ -281,29 +289,10 @@ def builtin_families(dimension: int | None = None) -> list[TestFunction]:
 
 def builtin_function(function_id: str, domain: Hyperrectangle | None = None) -> TestFunction:
     """Look up a builtin by id, optionally rebuilt on a different domain."""
-    for f in builtin_families():
-        if f.id == function_id:
-            if domain is None:
-                return f
-            rebuilders = {
-                "sep-rational-d1": lambda: separable_rational((1.25,), domain),
-                "sep-rational-d1-wide": lambda: separable_rational((3.0,), domain, id="sep-rational-d1-wide"),
-                "exp-d1": lambda: entire_exponential((1.0,), domain),
-                "nonsep-rational-d1": lambda: nonseparable_rational(2.0, (1.0,), domain),
-                "poly-cubic-d1": lambda: polynomial_product(1, domain),
-                "sep-rational-d2": lambda: separable_rational((1.3, 1.6), domain),
-                "sep-rational-d2-wide": lambda: separable_rational((2.0, 3.0), domain, id="sep-rational-d2-wide"),
-                "exp-d2": lambda: entire_exponential((1.0, -0.5), domain),
-                "nonsep-rational-d2": lambda: nonseparable_rational(2.0, (0.5, 0.5), domain),
-                "poly-cubic-d2": lambda: polynomial_product(2, domain),
-                "sep-rational-d3": lambda: separable_rational((1.3, 1.6, 2.2), domain),
-                "exp-d3": lambda: entire_exponential((0.8, -0.5, 0.3), domain),
-                "nonsep-rational-d3": lambda: nonseparable_rational(2.5, (0.5, 0.5, 0.5), domain),
-                "poly-cubic-d3": lambda: polynomial_product(3, domain),
-            }
-            return rebuilders[function_id]()
-    known = ", ".join(f.id for f in builtin_families())
-    raise ValueError(f"unknown builtin function {function_id!r}; known: {known}")
+    if function_id not in _BUILTINS:
+        known = ", ".join(_BUILTINS)
+        raise ValueError(f"unknown builtin function {function_id!r}; known: {known}")
+    return _BUILTINS[function_id](domain=domain, id=function_id)
 
 
 # ---------------------------------------------------------------------------
@@ -630,19 +619,12 @@ def crossover_scan(
 # published reference values for the worked inputs
 
 
-#: published reference values for the worked inputs; our computed values
-#: differ (see the reproduction report), so these are recorded targets,
-#: never assertions
-PUBLISHED_REFERENCES = {
-    "bound-b rho=(2.3,1.8) n=(10,10) v=1": 0.0018,
-    "bound-a rho=(2.3,1.8) n=(10,10) v=1": 0.0066,
-    "bound-b rho=(2.3,2.5) n=(10,10) v=1": 0.0017,
-    "bound-a rho=(2.3,2.5) n=(10,10) v=1": 0.0011,
-    "plan-b rho=(2.95,9.8) v=1 eps=2e-4 grid": 72,
-    "plan-b rho=(2.95,9.8) v=1 eps=2e-4 budget": (11, 5),
-    "plan-a rho=(2.95,9.8) v=1 eps=2e-4 grid": 45,
-    "plan-a rho=(2.95,9.8) v=1 eps=2e-4 budget": (8, 4),
-    "crossover equal-rho n=10 d=2": 2.800882,
+#: published values of bounds a and b for the worked inputs, keyed by
+#: (radii, budget, V); our computed values differ (see the reproduction
+#: report), so these are recorded targets, never assertions
+PUBLISHED_BOUNDS = {
+    ((2.3, 1.8), (10, 10), 1.0): {"a": 0.0066, "b": 0.0018},
+    ((2.3, 2.5), (10, 10), 1.0): {"a": 0.0011, "b": 0.0017},
 }
 
 
@@ -658,12 +640,11 @@ def reference_report() -> list[dict]:
     def row(case: str, published, computed) -> None:
         rows.append({"case": case, "published": published, "computed": computed})
 
-    ex1 = BoundInputs(EllipseRadii((2.3, 1.8)), NodeBudget((10, 10)), 1.0)
-    ex2 = BoundInputs(EllipseRadii((2.3, 2.5)), NodeBudget((10, 10)), 1.0)
-    row("bound-b rho=(2.3,1.8) n=(10,10) v=1", 0.0018, bound_b(ex1))
-    row("bound-a rho=(2.3,1.8) n=(10,10) v=1", 0.0066, bound_a(ex1)[0])
-    row("bound-b rho=(2.3,2.5) n=(10,10) v=1", 0.0017, bound_b(ex2))
-    row("bound-a rho=(2.3,2.5) n=(10,10) v=1", 0.0011, bound_a(ex2)[0])
+    for (rho, n, v), published in PUBLISHED_BOUNDS.items():
+        inputs = BoundInputs(EllipseRadii(rho), NodeBudget(n), v)
+        case = f"rho=({','.join(map(str, rho))}) n=({','.join(map(str, n))}) v={v:g}"
+        row(f"bound-b {case}", published["b"], bound_b(inputs))
+        row(f"bound-a {case}", published["a"], bound_a(inputs)[0])
 
     radii = EllipseRadii((2.95, 9.8))
     plan_b = plan_nodes(PlanRequest(radii, 1.0, 2e-4, "B"))
@@ -703,16 +684,6 @@ def reference_report() -> list[dict]:
 # CSV emission
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return jsonio.format_float(value)
-    if isinstance(value, (tuple, list)):
-        return " ".join(_format_cell(v) for v in value)
-    return str(value)
-
-
 RECORD_CSV_HEADER = (
     "function_id,dimension,domain,radii,v_estimate,budget,"
     "empirical_error,bound_a,bound_b,bound_combined,passed"
@@ -721,29 +692,8 @@ RECORD_CSV_HEADER = (
 
 def records_to_csv(records: Sequence[VerificationRecord]) -> str:
     """One row per record; lists are space-separated inside a cell."""
-    lines = [RECORD_CSV_HEADER]
-    for r in records:
-        domain = ";".join(
-            f"{jsonio.format_float(lo)}:{jsonio.format_float(hi)}" for lo, hi in r.domain.axes
-        )
-        lines.append(
-            jsonio.csv_line(
-                [
-                    r.function_id,
-                    str(r.domain.dimension),
-                    domain,
-                    _format_cell(r.radii),
-                    _format_cell(r.v_estimate),
-                    _format_cell(r.budget),
-                    _format_cell(r.empirical_error),
-                    _format_cell(r.bound_a),
-                    _format_cell(r.bound_b),
-                    _format_cell(r.bound_combined),
-                    _format_cell(r.passed),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = [dict(r.to_json_dict(), dimension=r.domain.dimension) for r in records]
+    return jsonio.csv_text(RECORD_CSV_HEADER.split(","), rows)
 
 
 SCAN_CSV_HEADER = "rho,a,b,winner"
@@ -751,16 +701,4 @@ SCAN_CSV_HEADER = "rho,a,b,winner"
 
 def scan_to_csv(records: Sequence[ScanRecord]) -> str:
     """Figure-style sweep data: columns rho, a, b, winner."""
-    lines = [SCAN_CSV_HEADER]
-    for r in records:
-        lines.append(
-            jsonio.csv_line(
-                [
-                    jsonio.format_float(r.rho),
-                    jsonio.format_float(r.a),
-                    jsonio.format_float(r.b),
-                    r.winner,
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return jsonio.csv_text(SCAN_CSV_HEADER.split(","), [asdict(r) for r in records])

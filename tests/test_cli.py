@@ -246,22 +246,6 @@ class TestSweep:
 
 
 class TestEnvironment:
-    def test_thread_cap_garbage(self, capsys, monkeypatch):
-        monkeypatch.setenv("CHEBBOUND_THREADS", "many")
-        code, _, err = run(capsys, "bound", "--rho", "2", "--n", "10", "--v", "1")
-        assert code == 2
-        assert "CHEBBOUND_THREADS" in err
-
-    def test_thread_cap_negative(self, capsys, monkeypatch):
-        monkeypatch.setenv("CHEBBOUND_THREADS", "-2")
-        code, _, _ = run(capsys, "bound", "--rho", "2", "--n", "10", "--v", "1")
-        assert code == 2
-
-    def test_thread_cap_valid(self, capsys, monkeypatch):
-        monkeypatch.setenv("CHEBBOUND_THREADS", "8")
-        code, _, _ = run(capsys, "bound", "--rho", "2", "--n", "10", "--v", "1")
-        assert code == 0
-
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 

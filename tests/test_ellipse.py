@@ -11,7 +11,6 @@ from chebbound.ellipse import (
     V_SAFETY,
     EllipseRadii,
     GeneralizedBernsteinEllipse,
-    boundary_scan,
     contains,
     ellipse_boundary_point,
     estimate_V,
@@ -139,6 +138,15 @@ class TestEstimateV:
         truth = math.exp(2 * 1.25)
         assert truth <= v <= 1.011 * truth
 
+    def test_safety_factor_over_boundary_maximum(self):
+        """V is 1.01 times the largest |f| over the sampled boundary angles."""
+        ell = GeneralizedBernsteinEllipse(Hyperrectangle.unit(1), EllipseRadii((2.0,)))
+        curve = ell.axis_boundary(0, 2.0 * np.pi * np.arange(16) / 16)
+        assert np.isclose(curve[0].real, 1.25)
+        best = float(np.abs(np.exp(curve)).max())
+        v = estimate_V(lambda z: np.exp(z[..., 0]), ell, resolution=16)
+        assert np.isclose(v, 1.01 * best)
+
     def test_singularity_on_region_raises(self):
         # pole at 1.25 is ON the rho=2 ellipse
         ell = GeneralizedBernsteinEllipse(Hyperrectangle.unit(1), EllipseRadii((2.0,)))
@@ -183,16 +191,3 @@ class TestEstimateV:
         b = estimate_V(lambda z: np.exp(z[..., 0]), ell, resolution=256)
         assert a == b
 
-
-class TestBoundaryScan:
-    def test_rows_and_maximum(self):
-        ell = GeneralizedBernsteinEllipse(Hyperrectangle.unit(1), EllipseRadii((2.0,)))
-        rows = list(boundary_scan(lambda z: np.exp(z[..., 0]), ell, resolution=16))
-        assert len(rows) == 16
-        idx, point, mag = rows[0]
-        assert idx == (0,)
-        assert np.isclose(point[0].real, 1.25)
-        best = max(r[2] for r in rows)
-        # scan maximum should be within the safety factor of estimate_V
-        v = estimate_V(lambda z: np.exp(z[..., 0]), ell, resolution=16)
-        assert np.isclose(v, 1.01 * best)

@@ -65,6 +65,13 @@ class TestBuiltinFamilies:
     def test_lookup_with_domain_override(self):
         f = builtin_function("poly-cubic-d1", domain=Hyperrectangle(((0.0, 2.0),)))
         assert f.domain.axes == ((0.0, 2.0),)
+        # every builtin rebuilds on a scaled box as the same function
+        for f in builtin_families():
+            box = Hyperrectangle(((-0.5, 0.5),) * f.dimension)
+            g = builtin_function(f.id, domain=box)
+            assert (g.id, g.family, g.description, g.domain) == (f.id, f.family, f.description, box)
+            x = np.full((1, f.dimension), 0.25)
+            assert g.evaluator(x) == f.evaluator(x)
 
 
 class TestFamilyConstruction:
