@@ -353,6 +353,17 @@ def _minimise_over_orders(evaluate, radii: tuple[float, ...], d: int):
     return best, sigma, "HEURISTIC"
 
 
+def _bound_a_min_core(
+    radii: tuple[float, ...], degrees: tuple[int, ...], variant: str
+):
+    """((value, log), sigma_star, search) of bound A at V=1."""
+    return _minimise_over_orders(
+        lambda sigma: _bound_a_sigma_core(radii, degrees, sigma, variant),
+        radii,
+        len(radii),
+    )
+
+
 def bound_a(
     inputs: BoundInputs, variant: str = "consistent"
 ) -> tuple[float, tuple[int, ...], str]:
@@ -365,14 +376,8 @@ def bound_a(
     """
     if variant not in ("consistent", "literal"):
         raise ValueError(f"unknown variant {variant!r}")
-    radii = inputs.radii.values
-    degrees = inputs.budget.degrees
-
-    def evaluate(sigma: tuple[int, ...]) -> tuple[float, float]:
-        return _bound_a_sigma_core(radii, degrees, sigma, variant)
-
-    (core, core_log), sigma_star, search = _minimise_over_orders(
-        evaluate, radii, inputs.dimension
+    (core, core_log), sigma_star, search = _bound_a_min_core(
+        inputs.radii.values, inputs.budget.degrees, variant
     )
     return _finish(core, core_log, inputs.v_bound), sigma_star, search
 

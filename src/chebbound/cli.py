@@ -247,7 +247,7 @@ def cmd_interp(args: argparse.Namespace) -> int:
             for adm in f.admissible_rho
         )
     try:
-        verification._check_margin(f, tuple(rho))
+        verification.check_admissible(f, tuple(rho))
     except ValueError as exc:
         raise CliUsageError(f"--rho: {exc}") from None
 

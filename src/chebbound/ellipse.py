@@ -174,22 +174,10 @@ def rho_for_real_singularity(c: float, interval: tuple[float, float]) -> float:
     return abs(u) + math.sqrt(u * u - 1.0)
 
 
-def _angle_grids(ellipse: GeneralizedBernsteinEllipse, resolution) -> list[NDArray[np.float64]]:
-    d = ellipse.dimension
-    if np.isscalar(resolution):
-        resolution = (int(resolution),) * d
-    resolution = tuple(int(r) for r in resolution)
-    if len(resolution) != d:
-        raise ValueError(f"expected {d} resolutions, got {len(resolution)}")
-    if any(r < 8 for r in resolution):
-        raise ValueError("boundary resolution must be at least 8 angles per axis")
-    return [2.0 * np.pi * np.arange(r) / r for r in resolution]
-
-
 def estimate_V(
     f: Callable[[NDArray[np.complex128]], NDArray[np.complex128]],
     ellipse: GeneralizedBernsteinEllipse,
-    resolution=256,
+    resolution: int = 256,
 ) -> float:
     """Upper estimate of ``max |f|`` over the closed product region.
 
@@ -202,8 +190,11 @@ def estimate_V(
     Raises if any sampled value is non-finite, which signals a singularity
     inside the scanned region (the ellipse is too large for this f).
     """
-    grids = _angle_grids(ellipse, resolution)
-    curves = [ellipse.axis_boundary(i, grids[i]) for i in range(ellipse.dimension)]
+    resolution = int(resolution)
+    if resolution < 8:
+        raise ValueError("boundary resolution must be at least 8 angles per axis")
+    angles = 2.0 * np.pi * np.arange(resolution) / resolution
+    curves = [ellipse.axis_boundary(i, angles) for i in range(ellipse.dimension)]
     shape = tuple(c.size for c in curves)
     total = math.prod(shape)
     best = 0.0

@@ -387,11 +387,10 @@ def interpolate(
     f: Callable[[NDArray[np.float64]], NDArray[np.float64]],
     domain: Hyperrectangle,
     budget: NodeBudget,
-    method: str = "direct",
 ) -> ChebyshevInterpolant:
     """Sample ``f`` on the tensor grid and build its interpolant."""
     samples = sample_on_grid(f, domain, budget)
-    return ChebyshevInterpolant(domain, budget, compute_coefficients(samples, method))
+    return ChebyshevInterpolant(domain, budget, compute_coefficients(samples))
 
 
 def _clenshaw_axis(coeffs: NDArray[np.float64], u: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -2,26 +2,28 @@
 
 Given radii, a magnitude bound V and a target ``epsilon``, the planner
 finds the degree vector minimising the total grid size ``prod (N_i + 1)``
-subject to ``bound(N) <= epsilon`` for a chosen bound selector.  Exact
-search, not a heuristic:
+subject to ``bound(N) <= epsilon`` for a chosen bound selector:
 
 1. Per-axis lower limits ``L_i`` come from relaxing every other axis to
    infinity, where the selected bound collapses to an explicit univariate
    expression in ``N_i`` — no budget below ``L_i`` can ever certify.
 2. A uniform budget ``(m, ..., m)`` found by exponential + binary search
    seeds the incumbent objective.
-3. Per-axis upper limits combine the incumbent's objective ceiling with a
-   feasibility ceiling ``FU_i`` (smallest ``n`` certifying when every
-   other axis sits at its lower limit): any pointwise-minimal certifying
-   budget fits under ``FU_i``, and optimal budgets are pointwise minimal.
+3. Per-axis upper limits are the incumbent's objective caps
+   ``best // prod_{j != i} (L_j + 1) - 1``.
 4. Depth-first search in ascending lexicographic order over the resulting
    box, pruning subtrees whose objective floor already exceeds the best
    or that stay infeasible even with the remaining axes at their caps.
 
 Objective ties prefer the lexicographically smallest budget.  The search
-evaluates bounds through the exact same arithmetic as the public bound
-functions, and the returned plan re-certifies through the public entry
-point.
+evaluates bounds through the same cores as the public bound functions,
+and the returned plan re-certifies through the public entry point.
+
+Plans are exact only while the axis-order search is exhaustive, that is
+for d <= 8 (``EXHAUSTIVE_ORDER_LIMIT``).  Planning accepts up to 12 axes;
+past 8, A, COMBINED and RECURSIVE minimise over orders by pairwise-swap
+descent, whose value need not be monotone in the degrees, so the plan
+certifies the target but need not be the smallest such budget.
 """
 
 from __future__ import annotations
@@ -33,10 +35,9 @@ from . import jsonio
 from .bounds import (
     BoundInputs,
     MParams,
-    _bound_a_sigma_core,
+    _bound_a_min_core,
     _bound_b_core,
     _finish,
-    _minimise_over_orders,
     _recursive_min_core,
     bound_a,
     bound_b,
@@ -147,13 +148,30 @@ class PlanComparison:
         return jsonio.dumps(self.to_json_dict())
 
 
-def invert_univariate(rho: float, v: float, eps: float) -> int:
-    """Smallest N with ``bound_univariate(rho, N, v) <= eps``.
+def _least(feasible, lo: int, error: str) -> int:
+    """Smallest ``n`` in ``[lo, MAX_AXIS_ORDER]`` with ``feasible(n)``.
 
-    Closed-form estimate from ``4 V rho^-N / (rho-1) = eps`` followed by a
-    verification walk against the actual bound, so rounding in either
-    direction cannot produce an off-by-one.
+    ``feasible`` must be monotone in ``n``.  Gallops up from ``lo`` in
+    doubling steps clamped at the cap, then bisects; raises
+    ``ValueError(error)`` when even ``MAX_AXIS_ORDER`` is infeasible.
     """
+    hi, step = lo, 1
+    while not feasible(hi):
+        if hi >= MAX_AXIS_ORDER:
+            raise ValueError(error)
+        lo, hi = hi + 1, min(hi + step, MAX_AXIS_ORDER)
+        step *= 2
+    while lo < hi:  # everything below lo is infeasible, hi is feasible
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def invert_univariate(rho: float, v: float, eps: float) -> int:
+    """Smallest N with ``bound_univariate(rho, N, v) <= eps``."""
     rho = float(rho)
     if not math.isfinite(rho) or rho <= 1.0:
         raise ValueError(f"radius must exceed 1, got {rho}")
@@ -163,62 +181,32 @@ def invert_univariate(rho: float, v: float, eps: float) -> int:
         raise ValueError(f"magnitude bound must be finite and > 0, got {v}")
     if not math.isfinite(eps) or eps <= 0:
         raise ValueError(f"target must be finite and > 0, got {eps}")
-
-    estimate = (math.log(4.0) + math.log(v) - math.log(rho - 1.0) - math.log(eps)) / math.log(rho)
-    n = max(0, math.ceil(estimate))
-    n = min(n, MAX_AXIS_ORDER + 1)
-    while bound_univariate(rho, n, v) > eps:
-        n += 1
-        if n > MAX_AXIS_ORDER:
-            raise ValueError(
-                f"target {eps} needs more than {MAX_AXIS_ORDER} nodes for "
-                f"rho={rho}, v={v}"
-            )
-    while n > 0 and bound_univariate(rho, n - 1, v) <= eps:
-        n -= 1
-    return n
+    return _least(
+        lambda n: bound_univariate(rho, n, v) <= eps,
+        0,
+        f"target {eps} needs more than {MAX_AXIS_ORDER} nodes for rho={rho}, v={v}",
+    )
 
 
 # ---------------------------------------------------------------------------
-# selector evaluators (identical arithmetic to the public bound functions)
+# selector evaluators (the public bounds' own cores at V=1, times V)
+
+_SELECTOR_CORES = {
+    "A": lambda radii, degrees: _bound_a_min_core(radii, degrees, "consistent")[0],
+    "B": _bound_b_core,
+    "RECURSIVE": lambda radii, degrees: _recursive_min_core(radii, degrees, 0.0)[0],
+}
 
 
 def _make_evaluator(selector: str, radii: tuple[float, ...], v: float):
-    d = len(radii)
-
-    if selector == "B":
-
-        def bnd(degrees: tuple[int, ...]) -> float:
-            core, core_log = _bound_b_core(radii, degrees)
-            return _finish(core, core_log, v)
-
-        return bnd
-
-    if selector == "A":
-
-        def bnd(degrees: tuple[int, ...]) -> float:
-            (core, core_log), _, _ = _minimise_over_orders(
-                lambda s: _bound_a_sigma_core(radii, degrees, s, "consistent"),
-                radii,
-                d,
-            )
-            return _finish(core, core_log, v)
-
-        return bnd
-
-    if selector == "RECURSIVE":
-
-        def bnd(degrees: tuple[int, ...]) -> float:
-            (core, core_log), _, _ = _recursive_min_core(radii, degrees, 0.0)
-            return _finish(core, core_log, v)
-
-        return bnd
-
-    a_eval = _make_evaluator("A", radii, v)
-    b_eval = _make_evaluator("B", radii, v)
+    if selector == "COMBINED":
+        a_eval = _make_evaluator("A", radii, v)
+        b_eval = _make_evaluator("B", radii, v)
+        return lambda degrees: min(a_eval(degrees), b_eval(degrees))
+    core = _SELECTOR_CORES[selector]
 
     def bnd(degrees: tuple[int, ...]) -> float:
-        return min(a_eval(degrees), b_eval(degrees))
+        return _finish(*core(radii, degrees), v)
 
     return bnd
 
@@ -235,76 +223,31 @@ def _certify(request: PlanRequest, budget: NodeBudget) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-axis limits from the infinite-relaxation envelopes
+# per-axis lower limits from the infinite-relaxation envelopes
 
 
 def _axis_lower_limit(selector: str, radii: tuple[float, ...], axis: int, v: float, eps: float) -> int:
     """Smallest degree axis ``axis`` can have in any certifying budget."""
     relaxed = eps * (1.0 + _LIMIT_SLACK)
+    error = f"target {eps} needs more than {MAX_AXIS_ORDER} nodes along axis {axis}"
+    rho = radii[axis]
 
-    def univariate_limit() -> int:
-        return invert_univariate(radii[axis], v, relaxed)
+    def univariate(n: int) -> bool:  # A and RECURSIVE share this first-sum term
+        return bound_univariate(rho, n, v) <= relaxed
 
     d = len(radii)
     log_product = -math.fsum(math.log1p(-r**-2) for r in radii)
     pref_log = (d / 2.0 + 1.0) * math.log(2.0) + 0.5 * log_product + math.log(v)
-    log_rho = math.log(radii[axis])
 
-    def b_envelope_feasible(n: int) -> bool:
-        return pref_log - n * log_rho <= math.log(relaxed)
-
-    def b_envelope_limit() -> int:
-        n = max(0, math.ceil((pref_log - math.log(relaxed)) / log_rho))
-        n = min(n, MAX_AXIS_ORDER + 1)
-        while not b_envelope_feasible(n):
-            n += 1
-            if n > MAX_AXIS_ORDER:
-                raise ValueError(
-                    f"target {eps} needs more than {MAX_AXIS_ORDER} nodes "
-                    f"along axis {axis}"
-                )
-        while n > 0 and b_envelope_feasible(n - 1):
-            n -= 1
-        return n
+    def b_envelope(n: int) -> bool:
+        return pref_log - n * math.log(rho) <= math.log(relaxed)
 
     if selector == "B":
-        limit = b_envelope_limit()
-    elif selector == "COMBINED":
-        limit = min(univariate_limit(), b_envelope_limit())
-    else:  # A and RECURSIVE share the univariate first-sum term
-        limit = univariate_limit()
-    if limit > MAX_AXIS_ORDER:
-        raise ValueError(
-            f"target {eps} needs more than {MAX_AXIS_ORDER} nodes along axis {axis}"
-        )
+        return _least(b_envelope, 0, error)
+    limit = _least(univariate, 0, error)
+    if selector == "COMBINED":
+        limit = min(limit, _least(b_envelope, 0, error))
     return limit
-
-
-def _uniform_incumbent(bnd, lower: list[int], eps: float, d: int) -> int:
-    """Smallest m with the uniform budget (m,...,m) certifying."""
-    m = max(lower)
-    if bnd((m,) * d) <= eps:
-        return m
-    step = 1
-    lo = m  # infeasible
-    while True:
-        m = lo + step
-        if m > MAX_AXIS_ORDER:
-            raise ValueError(
-                f"target {eps} needs more than {MAX_AXIS_ORDER} nodes per axis"
-            )
-        if bnd((m,) * d) <= eps:
-            break
-        lo = m
-        step *= 2
-    hi = m  # feasible
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if bnd((mid,) * d) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def plan_nodes(request: PlanRequest) -> Plan:
@@ -323,73 +266,41 @@ def plan_nodes(request: PlanRequest) -> Plan:
     lower = [
         _axis_lower_limit(request.selector, radii, i, v, eps) for i in range(d)
     ]
+    m_star = _least(
+        lambda m: bnd((m,) * d) <= eps,
+        max(lower),
+        f"target {eps} needs more than {MAX_AXIS_ORDER} nodes per axis",
+    )
+    best = ((m_star + 1) ** d, (m_star,) * d)
 
-    m_star = _uniform_incumbent(bnd, lower, eps, d)
-    best_obj = 1
-    for _ in range(d):
-        best_obj *= m_star + 1
-    best = (best_obj, (m_star,) * d)
+    # objective caps: no budget as small as the incumbent has a larger degree
+    upper = [
+        best[0] // math.prod(lower[j] + 1 for j in range(d) if j != i) - 1
+        for i in range(d)
+    ]
+    suffix_floor = [1] * (d + 1)  # prod of (lower_j + 1) for j >= t
+    for t in range(d - 1, -1, -1):
+        suffix_floor[t] = suffix_floor[t + 1] * (lower[t] + 1)
+    upper_tail = [tuple(upper[t:]) for t in range(d + 1)]
 
-    if d == 1:
-        # the uniform search already walked the only axis to its minimum
-        budget = NodeBudget((m_star,))
-        certified = _certify(request, budget)
-        return Plan(request, budget, budget.grid_points, certified)
+    def dfs(prefix: tuple[int, ...], prefix_obj: int) -> None:
+        nonlocal best
+        t = len(prefix)
+        for n in range(lower[t], upper[t] + 1):
+            obj_floor = prefix_obj * (n + 1) * suffix_floor[t + 1]
+            if obj_floor > best[0]:
+                break
+            candidate = prefix + (n,) + upper_tail[t + 1]
+            if bnd(candidate) > eps:
+                continue
+            if t == d - 1:
+                cand = (prefix_obj * (n + 1), prefix + (n,))
+                if cand < best:
+                    best = cand
+            else:
+                dfs(prefix + (n,), prefix_obj * (n + 1))
 
-    # upper limits: objective ceiling against the incumbent, tightened by
-    # the feasibility ceiling FU_i where it exists
-    upper: list[int] = []
-    for i in range(d):
-        others = 1
-        for j in range(d):
-            if j != i:
-                others *= lower[j] + 1
-        obj_cap = best[0] // others - 1
-        if obj_cap < lower[i]:
-            upper.append(lower[i] - 1)  # empty range; incumbent already optimal here
-            continue
-        probe = list(lower)
-
-        def feasible_at(n: int) -> bool:
-            probe[i] = n
-            return bnd(tuple(probe)) <= eps
-
-        if feasible_at(obj_cap):
-            lo, hi = lower[i], obj_cap
-            while hi > lo:
-                mid = (lo + hi) // 2
-                if feasible_at(mid):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            upper.append(hi)
-        else:
-            upper.append(obj_cap)
-
-    if all(u >= lo_ for u, lo_ in zip(upper, lower)):
-        suffix_floor = [1] * (d + 1)  # prod of (lower_j + 1) for j >= t
-        for t in range(d - 1, -1, -1):
-            suffix_floor[t] = suffix_floor[t + 1] * (lower[t] + 1)
-        upper_tail = [tuple(upper[t:]) for t in range(d + 1)]
-
-        def dfs(prefix: tuple[int, ...], prefix_obj: int) -> None:
-            nonlocal best
-            t = len(prefix)
-            for n in range(lower[t], upper[t] + 1):
-                obj_floor = prefix_obj * (n + 1) * suffix_floor[t + 1]
-                if obj_floor > best[0]:
-                    break
-                candidate = prefix + (n,) + upper_tail[t + 1]
-                if bnd(candidate) > eps:
-                    continue
-                if t == d - 1:
-                    cand = (prefix_obj * (n + 1), prefix + (n,))
-                    if cand < best:
-                        best = cand
-                else:
-                    dfs(prefix + (n,), prefix_obj * (n + 1))
-
-        dfs((), 1)
+    dfs((), 1)
 
     budget = NodeBudget(best[1])
     certified = _certify(request, budget)

@@ -45,6 +45,7 @@ __all__ = [
     "ScanRecord",
     "ADMISSIBILITY_MARGIN",
     "PROBE_SEED",
+    "check_admissible",
     "separable_rational",
     "entire_exponential",
     "nonseparable_rational",
@@ -361,7 +362,8 @@ def sup_error(
 # domination suite
 
 
-def _check_margin(f: TestFunction, radii: tuple[float, ...]) -> None:
+def check_admissible(f: TestFunction, radii: tuple[float, ...]) -> None:
+    """Raise unless ``radii`` fit ``f`` within ``ADMISSIBILITY_MARGIN``."""
     if len(radii) != f.dimension:
         raise ValueError(
             f"{f.id}: {len(radii)} radii for a {f.dimension}-dimensional function"
@@ -396,7 +398,7 @@ def verify_domination(
     budgets = [tuple(int(n) for n in budget) for budget in budget_schedule]
     for f in functions:
         for radii in schedules:
-            _check_margin(f, radii)
+            check_admissible(f, radii)
 
     records = []
     for f in functions:
@@ -536,7 +538,7 @@ def coefficient_decay_check(f: TestFunction, rho: float, n: int) -> bool:
     if n < 1:
         raise ValueError(f"need at least degree 1, got {n}")
     rho = float(rho)
-    _check_margin(f, (rho,))
+    check_admissible(f, (rho,))
     ellipse = GeneralizedBernsteinEllipse(f.domain, EllipseRadii((rho,)))
     v_hat = estimate_V(f.evaluator, ellipse, resolution=DEFAULT_V_RESOLUTION[1])
     interp = interpolate(f.evaluator, f.domain, NodeBudget((n,)))

@@ -147,6 +147,11 @@ class TestEstimateV:
         v = estimate_V(lambda z: np.exp(z[..., 0]), ell, resolution=16)
         assert np.isclose(v, 1.01 * best)
 
+    def test_too_few_angles_raise(self):
+        ell = GeneralizedBernsteinEllipse(Hyperrectangle.unit(1), EllipseRadii((2.0,)))
+        with pytest.raises(ValueError, match="at least 8 angles"):
+            estimate_V(lambda z: np.exp(z[..., 0]), ell, resolution=7)
+
     def test_singularity_on_region_raises(self):
         # pole at 1.25 is ON the rho=2 ellipse
         ell = GeneralizedBernsteinEllipse(Hyperrectangle.unit(1), EllipseRadii((2.0,)))

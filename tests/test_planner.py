@@ -66,8 +66,14 @@ class TestInvertUnivariate:
                 assert bound_univariate(rho, m - 1, v) > eps
 
     def test_unreachable_target(self):
-        with pytest.raises(ValueError, match="needs more than"):
-            invert_univariate(1.0 + 1e-9, 1.0, 5e-324)
+        cases = [
+            (1.0 + 1e-9, 5e-324),
+            # first met one degree past the cap
+            (1.00001, bound_univariate(1.00001, 1_000_001, 1.0)),
+        ]
+        for rho, eps in cases:
+            with pytest.raises(ValueError, match="needs more than 1000000 nodes"):
+                invert_univariate(rho, 1.0, eps)
 
 
 class TestPlanNodes:
@@ -191,6 +197,13 @@ class TestValidation:
     def test_unknown_selector(self):
         with pytest.raises(ValueError, match="selector"):
             PlanRequest(EllipseRadii((2.0,)), 1.0, 1e-3, "best")
+
+    @pytest.mark.parametrize("selector", PLAN_SELECTORS)
+    def test_unreachable_lower_limit(self, selector):
+        request = PlanRequest(EllipseRadii((2.0, 1.0000001)), 1.0, 1e-3, selector)
+        with pytest.raises(ValueError) as info:
+            plan_nodes(request)
+        assert str(info.value) == "target 0.001 needs more than 1000000 nodes along axis 1"
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="dimension"):
