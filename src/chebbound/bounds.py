@@ -168,14 +168,22 @@ def _sum_terms(terms: list[tuple[float, float]]) -> tuple[float, float]:
     return math.exp(log_value), log_value
 
 
+def _tail(rho: float, n: int, rho_denom: float) -> tuple[float, float, bool]:
+    """(value, log, direct) of 4 rho^-n / (rho_denom - 1).
+
+    ``direct`` says the value came from double arithmetic, not from its log.
+    """
+    log_power = -n * math.log(rho)
+    log_value = _LOG4 + log_power - math.log(rho_denom - 1.0)
+    if log_power >= _POWER_LOG:
+        return 4.0 * rho**-n / (rho_denom - 1.0), log_value, True
+    return math.exp(log_value), log_value, False
+
+
 def _univ_core(rho: float, n: int) -> tuple[float, float]:
     """(value, log) of 4 rho^-n / (rho - 1); the univariate bound at V=1."""
-    log_rho = math.log(rho)
-    log_power = -n * log_rho
-    log_value = _LOG4 + log_power - math.log(rho - 1.0)
-    if log_power >= _POWER_LOG:
-        return 4.0 * rho**-n / (rho - 1.0), log_value
-    return math.exp(log_value), log_value
+    value, log_value, _ = _tail(rho, n, rho)
+    return value, log_value
 
 
 def _finish(core: float, core_log: float, v: float) -> float:
@@ -251,47 +259,68 @@ def bound_b(inputs: BoundInputs) -> float:
     return _finish(core, core_log, inputs.v_bound)
 
 
-def _bound_a_sigma_core(
-    radii: tuple[float, ...],
-    degrees: tuple[int, ...],
-    sigma: tuple[int, ...],
-    variant: str,
-) -> tuple[float, float]:
-    d = len(radii)
-    terms: list[tuple[float, float]] = []
-    if variant == "consistent":
-        for s in sigma:
-            terms.append(_univ_core(radii[s], degrees[s]))
-    else:  # literal: keep the mixed indexing of the printed first sum
-        for i in range(d):
-            s = sigma[i]
-            log_power = -degrees[i] * math.log(radii[s])
-            log_value = _LOG4 + log_power - math.log(radii[i] - 1.0)
-            if log_power >= _POWER_LOG:
-                value = 4.0 * radii[s] ** -degrees[i] / (radii[i] - 1.0)
-            else:
-                value = math.exp(log_value)
-            terms.append((value, log_value))
+def _bound_a_evaluator(
+    radii: tuple[float, ...], degrees: tuple[int, ...], variant: str
+):
+    """evaluate(sigma) -> (value, log) of bound A at V=1 in order sigma.
 
-    denom = 1.0
-    log_denom = 0.0
-    for k in range(2, d + 1):
-        j = sigma[k - 2]  # axis joining the already-peeled denominator
-        denom *= 1.0 - 1.0 / radii[j]
-        log_denom += math.log1p(-1.0 / radii[j])
-        s = sigma[k - 1]
-        n_exp = degrees[s] if variant == "consistent" else degrees[k - 1]
-        growth = float(2 ** (k - 1) * ((k - 1) + 2 ** (k - 1) - 1))
-        log_power = -n_exp * math.log(radii[s])
-        log_value = (
-            _LOG4 + log_power - math.log(radii[s] - 1.0) + math.log(growth) - log_denom
-        )
-        if log_power >= _POWER_LOG:
-            value = 4.0 * radii[s] ** -n_exp / (radii[s] - 1.0) * growth / denom
-        else:
-            value = math.exp(log_value)
-        terms.append((value, log_value))
-    return _sum_terms(terms)
+    The per-axis factors are computed once: the univariate tails
+    ``4 rho^-n / (rho - 1)`` with their logs and direct/log-path flags,
+    ``1 - 1/rho_j`` with its ``log1p``, and the level growth factors.
+    Term ``k`` of the second sum divides by the product of ``1 - 1/rho_j``
+    over the axes peeled before it, so each call keeps the previous order's
+    denominators and terms and recomputes them only from the first position
+    where ``sigma`` differs; lexicographic enumeration changes about 1.7
+    positions per order.  Every term takes the same float operations as a
+    fresh evaluation, so the value does not depend on the earlier calls.
+    Memory is O(d).
+
+    ``variant="literal"`` reads position-indexed degrees, so its first-sum
+    terms depend on the position as well and are recomputed with the rest.
+    """
+    d = len(radii)
+    literal = variant == "literal"
+    tails = [_tail(r, n, r) for r, n in zip(radii, degrees)]
+    firsts = [(value, log_value) for value, log_value, _ in tails]
+    shrink = [(1.0 - 1.0 / r, math.log1p(-1.0 / r)) for r in radii]
+    growth = [
+        (g, math.log(g)) for g in (float(2**p * (p + 2**p - 1)) for p in range(1, d))
+    ]
+    # at position p: the denominator of the second-sum term and its log;
+    # terms[p] is the first-sum term, terms[d + p - 1] the second-sum term
+    denom = [1.0] * d
+    log_denom = [0.0] * d
+    terms: list[tuple[float, float]] = [(0.0, 0.0)] * (2 * d - 1)
+    previous: tuple[int, ...] = ()
+
+    def evaluate(sigma: tuple[int, ...]) -> tuple[float, float]:
+        nonlocal previous
+        start = 0
+        while start < len(previous) and sigma[start] == previous[start]:
+            start += 1
+        previous = sigma
+        for p in range(start, d):
+            s = sigma[p]
+            if literal:  # the printed first sum mixes position and axis indices
+                terms[p] = _tail(radii[s], degrees[p], radii[p])[:2]
+                value, head_log, direct = _tail(radii[s], degrees[p], radii[s])
+            else:
+                terms[p] = firsts[s]
+                value, head_log, direct = tails[s]
+            if p:
+                j = sigma[p - 1]  # axis joining the already-peeled denominator
+                denom[p] = denom[p - 1] * shrink[j][0]
+                log_denom[p] = log_denom[p - 1] + shrink[j][1]
+                g, log_g = growth[p - 1]
+                log_value = head_log + log_g - log_denom[p]
+                if direct:
+                    value = value * g / denom[p]
+                else:
+                    value = math.exp(log_value)
+                terms[d + p - 1] = (value, log_value)
+        return _sum_terms(terms)
+
+    return evaluate
 
 
 def bound_a_for_sigma(inputs: BoundInputs, sigma, variant: str = "consistent") -> float:
@@ -305,9 +334,8 @@ def bound_a_for_sigma(inputs: BoundInputs, sigma, variant: str = "consistent") -
     if variant not in ("consistent", "literal"):
         raise ValueError(f"unknown variant {variant!r}")
     sigma = _check_sigma(sigma, inputs.dimension)
-    core, core_log = _bound_a_sigma_core(
-        inputs.radii.values, inputs.budget.degrees, sigma, variant
-    )
+    evaluate = _bound_a_evaluator(inputs.radii.values, inputs.budget.degrees, variant)
+    core, core_log = evaluate(sigma)
     return _finish(core, core_log, inputs.v_bound)
 
 
@@ -357,11 +385,8 @@ def _bound_a_min_core(
     radii: tuple[float, ...], degrees: tuple[int, ...], variant: str
 ):
     """((value, log), sigma_star, search) of bound A at V=1."""
-    return _minimise_over_orders(
-        lambda sigma: _bound_a_sigma_core(radii, degrees, sigma, variant),
-        radii,
-        len(radii),
-    )
+    evaluate = _bound_a_evaluator(radii, degrees, variant)
+    return _minimise_over_orders(evaluate, radii, len(radii))
 
 
 def bound_a(
@@ -373,6 +398,11 @@ def bound_a(
     every order was tried ("EXHAUSTIVE", dimension <= 8) or a
     steepest-decay-first start refined by pairwise-swap descent was used
     ("HEURISTIC").  Ties keep the lexicographically first order.
+
+    The search evaluates each order through one prefix-sharing evaluator:
+    consecutive orders share their leading axes, so only the denominators
+    and terms from the first changed position are recomputed, with the
+    same float operations as a fresh evaluation of that order.
     """
     if variant not in ("consistent", "literal"):
         raise ValueError(f"unknown variant {variant!r}")

@@ -12,8 +12,14 @@ subject to ``bound(N) <= epsilon`` for a chosen bound selector:
 3. Per-axis upper limits are the incumbent's objective caps
    ``best // prod_{j != i} (L_j + 1) - 1``.
 4. Depth-first search in ascending lexicographic order over the resulting
-   box, pruning subtrees whose objective floor already exceeds the best
-   or that stay infeasible even with the remaining axes at their caps.
+   box.  At each level, with the remaining axes at their caps, the
+   largest degree the objective floor still allows is tested first; if it
+   does not certify, the level is pruned.  Otherwise the first degree that
+   certifies is found by gallop and bisection.  The last axis takes only
+   that degree; earlier axes recurse from it upward, without testing
+   again, until the objective floor exceeds the best.  This relies on
+   feasibility being monotone in each degree, as the bounds are
+   nonincreasing in every ``N_i``.
 
 Objective ties prefer the lexicographically smallest budget.  The search
 evaluates bounds through the same cores as the public bound functions,
@@ -148,18 +154,18 @@ class PlanComparison:
         return jsonio.dumps(self.to_json_dict())
 
 
-def _least(feasible, lo: int, error: str) -> int:
-    """Smallest ``n`` in ``[lo, MAX_AXIS_ORDER]`` with ``feasible(n)``.
+def _least(feasible, lo: int, error: str, top: int = MAX_AXIS_ORDER) -> int:
+    """Smallest ``n`` in ``[lo, top]`` with ``feasible(n)``.
 
     ``feasible`` must be monotone in ``n``.  Gallops up from ``lo`` in
-    doubling steps clamped at the cap, then bisects; raises
-    ``ValueError(error)`` when even ``MAX_AXIS_ORDER`` is infeasible.
+    doubling steps clamped at ``top``, then bisects; raises
+    ``ValueError(error)`` when even ``top`` is infeasible.
     """
     hi, step = lo, 1
     while not feasible(hi):
-        if hi >= MAX_AXIS_ORDER:
+        if hi >= top:
             raise ValueError(error)
-        lo, hi = hi + 1, min(hi + step, MAX_AXIS_ORDER)
+        lo, hi = hi + 1, min(hi + step, top)
         step *= 2
     while lo < hi:  # everything below lo is infeasible, hi is feasible
         mid = (lo + hi) // 2
@@ -244,10 +250,9 @@ def _axis_lower_limit(selector: str, radii: tuple[float, ...], axis: int, v: flo
 
     if selector == "B":
         return _least(b_envelope, 0, error)
-    limit = _least(univariate, 0, error)
-    if selector == "COMBINED":
-        limit = min(limit, _least(b_envelope, 0, error))
-    return limit
+    if selector == "COMBINED":  # min of the two limits; raises only if both do
+        return _least(lambda n: univariate(n) or b_envelope(n), 0, error)
+    return _least(univariate, 0, error)
 
 
 def plan_nodes(request: PlanRequest) -> Plan:
@@ -286,19 +291,24 @@ def plan_nodes(request: PlanRequest) -> Plan:
     def dfs(prefix: tuple[int, ...], prefix_obj: int) -> None:
         nonlocal best
         t = len(prefix)
-        for n in range(lower[t], upper[t] + 1):
-            obj_floor = prefix_obj * (n + 1) * suffix_floor[t + 1]
-            if obj_floor > best[0]:
+        floor = prefix_obj * suffix_floor[t + 1]
+        top = min(upper[t], best[0] // floor - 1)  # largest n the floor allows
+        tail = upper_tail[t + 1]
+
+        def feasible(n: int) -> bool:
+            return bnd(prefix + (n,) + tail) <= eps
+
+        if top < lower[t] or not feasible(top):
+            return
+        # top certifies, so the search need not test it again and cannot raise
+        first = _least(lambda n: n == top or feasible(n), lower[t], "", top)
+        if t == d - 1:
+            best = min(best, (prefix_obj * (first + 1), prefix + (first,)))
+            return
+        for n in range(first, top + 1):
+            if (n + 1) * floor > best[0]:
                 break
-            candidate = prefix + (n,) + upper_tail[t + 1]
-            if bnd(candidate) > eps:
-                continue
-            if t == d - 1:
-                cand = (prefix_obj * (n + 1), prefix + (n,))
-                if cand < best:
-                    best = cand
-            else:
-                dfs(prefix + (n,), prefix_obj * (n + 1))
+            dfs(prefix + (n,), prefix_obj * (n + 1))
 
     dfs((), 1)
 

@@ -13,8 +13,16 @@ from mpmath import mp, mpf
 
 import highprec as hp
 from chebbound.bounds import (
+    _DIRECT_LOG,
+    _LOG4,
+    _POWER_LOG,
     BoundInputs,
     MParams,
+    _bound_a_evaluator,
+    _bound_a_min_core,
+    _finish,
+    _minimise_over_orders,
+    _winner_tag,
     bound_a,
     bound_a_for_sigma,
     bound_b,
@@ -207,6 +215,118 @@ class TestOrderSearch:
         assert value <= recursive_bound_B(inputs) * (1 + 1e-15)
         assert search == "EXHAUSTIVE"
         assert sorted(sigma) == [0, 1]
+
+
+# Bound A evaluated afresh for every order, term by term: a verbatim copy of
+# the formula before the order search reused prefix denominators.  The
+# prefix-sharing evaluator must reproduce it bit for bit.
+
+
+def _reference_sum_terms(terms):
+    if len(terms) == 1:
+        return terms[0]
+    logs = [lg for _, lg in terms]
+    top = max(logs)
+    if top >= _DIRECT_LOG:
+        value = math.fsum(v for v, _ in terms)
+        return value, math.log(value)
+    log_value = top + math.log(math.fsum(math.exp(lg - top) for lg in logs))
+    return math.exp(log_value), log_value
+
+
+def _reference_univ_core(rho, n):
+    log_rho = math.log(rho)
+    log_power = -n * log_rho
+    log_value = _LOG4 + log_power - math.log(rho - 1.0)
+    if log_power >= _POWER_LOG:
+        return 4.0 * rho**-n / (rho - 1.0), log_value
+    return math.exp(log_value), log_value
+
+
+def _reference_a_sigma_core(radii, degrees, sigma, variant):
+    d = len(radii)
+    terms = []
+    if variant == "consistent":
+        for s in sigma:
+            terms.append(_reference_univ_core(radii[s], degrees[s]))
+    else:  # literal: keep the mixed indexing of the printed first sum
+        for i in range(d):
+            s = sigma[i]
+            log_power = -degrees[i] * math.log(radii[s])
+            log_value = _LOG4 + log_power - math.log(radii[i] - 1.0)
+            if log_power >= _POWER_LOG:
+                value = 4.0 * radii[s] ** -degrees[i] / (radii[i] - 1.0)
+            else:
+                value = math.exp(log_value)
+            terms.append((value, log_value))
+
+    denom = 1.0
+    log_denom = 0.0
+    for k in range(2, d + 1):
+        j = sigma[k - 2]  # axis joining the already-peeled denominator
+        denom *= 1.0 - 1.0 / radii[j]
+        log_denom += math.log1p(-1.0 / radii[j])
+        s = sigma[k - 1]
+        n_exp = degrees[s] if variant == "consistent" else degrees[k - 1]
+        growth = float(2 ** (k - 1) * ((k - 1) + 2 ** (k - 1) - 1))
+        log_power = -n_exp * math.log(radii[s])
+        log_value = (
+            _LOG4 + log_power - math.log(radii[s] - 1.0) + math.log(growth) - log_denom
+        )
+        if log_power >= _POWER_LOG:
+            value = 4.0 * radii[s] ** -n_exp / (radii[s] - 1.0) * growth / denom
+        else:
+            value = math.exp(log_value)
+        terms.append((value, log_value))
+    return _reference_sum_terms(terms)
+
+
+def _reference_a_min_core(radii, degrees, variant):
+    return _minimise_over_orders(
+        lambda sigma: _reference_a_sigma_core(radii, degrees, sigma, variant),
+        radii,
+        len(radii),
+    )
+
+
+class TestBoundAPrefixReuse:
+    #: seeded cases per dimension; exhaustive up to 8 axes, heuristic at 9
+    CASES = {1: 10, 2: 10, 3: 10, 4: 10, 5: 10, 6: 6, 7: 2, 8: 1, 9: 4}
+
+    @staticmethod
+    def _case(rng, d):
+        rho = tuple(1.05 * (12.0 / 1.05) ** rng.random() for _ in range(d))
+        # large degrees push rho^-n below exp(-690), onto the log path; at
+        # most two per case past four axes, so the grid size stays addressable
+        large = set(rng.sample(range(d), rng.randint(0, d if d <= 4 else 2)))
+        small = 40 if d <= 7 else 12
+        n = tuple(
+            rng.randint(300, 3000) if i in large else rng.randint(0, small) for i in range(d)
+        )
+        v = 10.0 ** rng.uniform(-300.0, 3.0)
+        return rho, n, v
+
+    @pytest.mark.parametrize("variant", ["consistent", "literal"])
+    @pytest.mark.parametrize("d", sorted(CASES))
+    def test_bit_identical_to_fresh_evaluation(self, d, variant):
+        rng = random.Random(1000 * d + len(variant))
+        for _ in range(self.CASES[d]):
+            rho, n, v = self._case(rng, d)
+            inputs = make(rho, n, v)
+            reference, ref_sigma, ref_search = _reference_a_min_core(rho, n, variant)
+            assert _bound_a_min_core(rho, n, variant) == (reference, ref_sigma, ref_search)
+            ref_a = _finish(*reference, v)
+            assert bound_a(inputs, variant) == (ref_a, ref_sigma, ref_search)
+            if variant == "consistent":
+                assert bound_combined(inputs).winner == _winner_tag(ref_a, bound_b(inputs))
+
+            # random orders, one at a time and through one evaluator in turn
+            evaluate = _bound_a_evaluator(rho, n, variant)
+            for _ in range(12):
+                sigma = tuple(rng.sample(range(d), d))
+                expected = _reference_a_sigma_core(rho, n, sigma, variant)
+                assert evaluate(sigma) == expected
+                assert bound_a_for_sigma(inputs, sigma, variant) == _finish(*expected, v)
 
 
 def _random_m_case(rng: random.Random, d: int):

@@ -160,6 +160,29 @@ class TestPlanNodes:
             assert selector_value("COMBINED", (1.6, 2.8), smaller, 1.0) > 1e-5
 
 
+    def test_combined_takes_b_limit_when_univariate_is_unreachable(self):
+        """A alone needs more than the cap along the axis; B does not."""
+        radii = EllipseRadii((1.00001,))
+        combined = plan_nodes(PlanRequest(radii, 1.0, 0.1, "COMBINED"))
+        assert combined.budget.degrees == (875225,)
+        assert combined.budget == plan_nodes(PlanRequest(radii, 1.0, 0.1, "B")).budget
+
+    @pytest.mark.parametrize("selector", ["B", "COMBINED"])
+    @pytest.mark.parametrize(
+        "rho, v, eps",
+        [((1.00002, 1.00002), 1e-3, 1.0), ((1.0001, 1.0002), 1.0, 1e-2)],
+    )
+    def test_near_the_cap(self, selector, rho, v, eps):
+        """Lower limits of 10^4..10^5 per axis: the plan certifies and is minimal per axis."""
+        plan = plan_nodes(PlanRequest(EllipseRadii(rho), v, eps, selector))
+        assert plan.certified_bound == selector_value(selector, rho, plan.budget.degrees, v)
+        assert plan.certified_bound <= eps
+        for axis in range(len(rho)):
+            lowered = list(plan.budget.degrees)
+            lowered[axis] -= 1
+            assert selector_value(selector, rho, lowered, v) > eps
+
+
 class TestComparePlans:
     def test_all_selectors_present(self):
         comparison = compare_plans(EllipseRadii((2.95, 9.8)), 1.0, 2e-4)
