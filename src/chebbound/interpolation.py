@@ -2,9 +2,11 @@
 
 Interpolants use the extrema grid ``x_k = cos(pi k / N)`` per axis and the
 product basis ``T_j(x) = prod_i T_{j_i}(x_i)``.  Coefficients come from the
-discrete orthogonality sums (trapezoid-weighted cosine transform); the
-reference path evaluates those sums directly, with an optional DCT-I fast
-path that must agree with it.
+trapezoid-weighted cosine sums, directly or by a DCT-I that must agree.
+Both evaluators contract them one axis at a time with Chebyshev-Vandermonde
+rows ``T_0(u) .. T_N(u)``: per grid coordinate in :func:`evaluate_grid`, per
+point in chunks of bounded memory in :func:`evaluate`.
+:func:`evaluate_reference` sums the basis products naively, as the check.
 
 All objects are immutable after construction and safe to share across
 threads.
@@ -46,6 +48,9 @@ __all__ = [
 BOUNDARY_SLACK = 1e-12
 
 COEFFICIENT_LAYOUT = "lex-last-fastest"
+
+#: partial sums per chunk of points in :func:`evaluate`; caps its working memory
+_EVAL_BLOCK = 2**20
 
 
 @dataclass(frozen=True)
@@ -393,37 +398,37 @@ def interpolate(
     return ChebyshevInterpolant(domain, budget, compute_coefficients(samples))
 
 
-def _clenshaw_axis(coeffs: NDArray[np.float64], u: NDArray[np.float64]) -> NDArray[np.float64]:
-    # Contract the trailing axis of `coeffs` with T_j(u); `u` broadcasts
-    # against the leading batch axes.
-    n = coeffs.shape[-1]
-    if n == 1:
-        return coeffs[..., 0] + 0.0 * u
-    b1 = coeffs[..., -1] + 0.0 * u
-    b2 = np.zeros_like(b1)
-    for j in range(n - 2, 0, -1):
-        b1, b2 = coeffs[..., j] + 2.0 * u * b1 - b2, b1
-    return coeffs[..., 0] + u * b1 - b2
+def _vander(u: NDArray[np.float64], n: int) -> NDArray[np.float64]:
+    # rows T_0(u)..T_n(u), shape (len(u), n + 1), by the three-term recurrence
+    vander = np.empty((len(u), n + 1))
+    vander[:, 0] = 1.0
+    if n >= 1:
+        vander[:, 1] = u
+    for j in range(2, n + 1):
+        vander[:, j] = 2.0 * u * vander[:, j - 1] - vander[:, j - 2]
+    return vander
 
 
 def evaluate(interpolant: ChebyshevInterpolant, x):
     """Evaluate at one point ``(d,)`` or a batch ``(..., d)`` inside the domain.
 
-    Uses a Clenshaw recurrence along each axis.  Points within 1e-12 of the
-    domain boundary are clamped onto it; anything farther out raises.
+    One matmul contracts the last axis for a chunk of points, then each
+    earlier axis is contracted row by row; chunks hold at most
+    ``_EVAL_BLOCK`` partial sums.  Points within 1e-12 of the domain
+    boundary are clamped onto it; anything farther out raises.
     """
     u = map_affine_inv(interpolant.domain, x)
-    single = u.ndim == 1
     flat = u.reshape(-1, interpolant.domain.dimension)
-    vals = np.broadcast_to(
-        interpolant.coefficients, (flat.shape[0],) + interpolant.coefficients.shape
-    )
-    for axis in range(interpolant.domain.dimension - 1, -1, -1):
-        u_axis = flat[:, axis].reshape((-1,) + (1,) * (vals.ndim - 2))
-        vals = _clenshaw_axis(vals, u_axis)
-    if single:
-        return float(vals[0])
-    return vals.reshape(np.asarray(x).shape[:-1])
+    coeffs, degrees = interpolant.coefficients, interpolant.budget.degrees
+    out = np.empty(len(flat))
+    step = max(1, _EVAL_BLOCK * coeffs.shape[-1] // coeffs.size)
+    for start in range(0, len(flat), step):
+        pts = flat[start : start + step]
+        vals = coeffs @ _vander(pts[:, -1], degrees[-1]).T
+        for axis in range(len(degrees) - 2, -1, -1):
+            vals = np.einsum("...jp,pj->...p", vals, _vander(pts[:, axis], degrees[axis]))
+        out[start : start + step] = vals
+    return float(out[0]) if u.ndim == 1 else out.reshape(u.shape[:-1])
 
 
 def evaluate_grid(
@@ -431,9 +436,9 @@ def evaluate_grid(
 ) -> NDArray[np.float64]:
     """Evaluate on the product grid of the given per-axis domain coordinates.
 
-    Much cheaper than evaluating the scattered product points one by one:
-    the coefficient tensor is contracted with one Chebyshev-Vandermonde
-    matrix per axis.
+    The same Chebyshev-Vandermonde rows as :func:`evaluate`, built once per
+    axis coordinate instead of once per point: the coefficient tensor is
+    contracted with one matrix per axis.
     """
     d = interpolant.domain.dimension
     if len(axes_points) != d:
@@ -446,16 +451,9 @@ def evaluate_grid(
         if np.any(np.abs(u) > 1.0 + BOUNDARY_SLACK):
             raise ValueError(f"axis {axis}: evaluation points outside domain")
         u = np.clip(u, -1.0, 1.0)
-        n = interpolant.budget.degrees[axis]
-        vander = np.empty((len(u), n + 1))
-        vander[:, 0] = 1.0
-        if n >= 1:
-            vander[:, 1] = u
-        for j in range(2, n + 1):
-            vander[:, j] = 2.0 * u * vander[:, j - 1] - vander[:, j - 2]
         # contract leading axis, cycle it to the back; after d steps the
         # axis order is restored
-        vals = np.tensordot(vals, vander, axes=([0], [1]))
+        vals = np.tensordot(vals, _vander(u, interpolant.budget.degrees[axis]), axes=([0], [1]))
     return vals
 
 

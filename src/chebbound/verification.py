@@ -77,6 +77,9 @@ DEFAULT_PROBE_RESOLUTION = {1: 513, 2: 129, 3: 65}
 #: hits exactly, so modest grids suffice (the 1.01 safety covers the rest)
 DEFAULT_V_RESOLUTION = {1: 512, 2: 128, 3: 32}
 
+#: probe points per slab in :func:`sup_error`; caps its working memory
+_PROBE_BLOCK = 2**15
+
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -339,23 +342,22 @@ def sup_error(
         raise ValueError("function and interpolant domains differ")
     d = f.dimension
     ref = _axis_probes(resolution)
-    axes_points = []
-    for lo, hi in f.domain.axes:
-        axes_points.append((lo + hi) / 2.0 + (hi - lo) / 2.0 * ref)
-    mesh = np.meshgrid(*axes_points, indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    exact = np.asarray(f.evaluator(pts), dtype=float)
-    approx = evaluate_grid(interpolant, axes_points)
-    worst = float(np.max(np.abs(exact - approx)))
+    axes_points = [(lo + hi) / 2.0 + (hi - lo) / 2.0 * ref for lo, hi in f.domain.axes]
+    # slabs of the first probe axis keep memory bounded; the maximum does
+    # not depend on the slabs (np.maximum keeps a NaN, as one np.max would)
+    rows = max(1, _PROBE_BLOCK // len(ref) ** (d - 1))
+    worst = 0.0
+    for start in range(0, len(ref), rows):
+        slab = [axes_points[0][start : start + rows], *axes_points[1:]]
+        pts = np.stack(np.meshgrid(*slab, indexing="ij"), axis=-1)
+        exact = np.asarray(f.evaluator(pts), dtype=float)
+        worst = np.maximum(worst, np.max(np.abs(exact - evaluate_grid(interpolant, slab))))
 
     rng = np.random.default_rng(PROBE_SEED)
-    lo = np.array([a[0] for a in f.domain.axes])
-    hi = np.array([a[1] for a in f.domain.axes])
+    lo, hi = np.array(f.domain.axes).T
     random_pts = lo + (hi - lo) * rng.random((100 * d, d))
     exact_r = np.asarray(f.evaluator(random_pts), dtype=float)
-    approx_r = np.asarray(evaluate(interpolant, random_pts), dtype=float)
-    worst = max(worst, float(np.max(np.abs(exact_r - approx_r))))
-    return worst
+    return float(max(worst, np.max(np.abs(exact_r - evaluate(interpolant, random_pts)))))
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +405,8 @@ def verify_domination(
     records = []
     for f in functions:
         d = f.dimension
-        probe_res = probe_resolution or DEFAULT_PROBE_RESOLUTION[d]
-        v_res = v_resolution or DEFAULT_V_RESOLUTION[d]
+        probe_res = DEFAULT_PROBE_RESOLUTION[d] if probe_resolution is None else probe_resolution
+        v_res = DEFAULT_V_RESOLUTION[d] if v_resolution is None else v_resolution
         for radii in schedules:
             ellipse = GeneralizedBernsteinEllipse(f.domain, EllipseRadii(radii))
             v_hat = estimate_V(f.evaluator, ellipse, resolution=v_res)

@@ -3,8 +3,9 @@
 Every subcommand runs in each output format against the bytes recorded in
 ``tests/data/cli_golden.json``.  The snapshots pin 17-digit floats, so a
 change that moves any printed value by one ulp fails here on purpose.  A
-few values sit at rounding level (the polynomial probe errors, the suite's
-sup errors); they were recorded with numpy 2.4 on x86-64, and another
+few values sit at rounding level (the interp ``value`` and ``probe_error``
+digits, the polynomial probe errors, the suite's sup errors); they were
+recorded with numpy 2.4 on x86-64, and another
 numpy build may move their last digits.
 
 To record the snapshots again (only when an output change is intended):

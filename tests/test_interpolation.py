@@ -2,10 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from chebbound import interpolation as interpolation_module
 from chebbound.interpolation import (
     ChebyshevInterpolant,
     Hyperrectangle,
@@ -23,6 +25,7 @@ from chebbound.interpolation import (
     sample_on_grid,
     univariate_nodes,
 )
+from chebbound.verification import builtin_function
 
 
 class TestHyperrectangle:
@@ -185,15 +188,51 @@ class TestInterpolant:
         batch = evaluate(interp, np.array([[0.25, 0.5], [-1.0, 1.0]]))
         assert batch.shape == (2,)
 
-    def test_clenshaw_matches_reference_sum(self):
+    def test_clenshaw_matches_reference_sum(self, monkeypatch):
+        """evaluate() agrees with the naive basis-product sum in every shape."""
         box = Hyperrectangle(((0.0, 3.0), (-1.0, 1.0)))
         f = lambda x: np.cos(x[..., 0]) + x[..., 1] ** 2
-        interp = interpolate(f, box, NodeBudget((8, 4)))
+        interps = [interpolate(f, box, NodeBudget((8, 4)))]
         rng = np.random.default_rng(7)
-        pts = np.column_stack([3.0 * rng.random(40), 2.0 * rng.random(40) - 1.0])
-        fast = evaluate(interp, pts)
-        slow = np.array([evaluate_reference(interp, p) for p in pts])
-        assert np.allclose(fast, slow, atol=1e-12)
+        # d = 1..4, mixed degrees, each with a zero-degree axis past d = 1
+        for degrees in ((9,), (0,), (5, 0), (4, 7, 0), (3, 0, 2, 5)):
+            box = Hyperrectangle(tuple((-1.0 - k, 2.0 + k) for k in range(len(degrees))))
+            coeffs = rng.uniform(-1.0, 1.0, NodeBudget(degrees).grid_shape)
+            interps.append(ChebyshevInterpolant(box, NodeBudget(degrees), coeffs))
+
+        def check(interp, pts):
+            fast = evaluate(interp, pts)
+            assert np.shape(fast) == pts.shape[:-1]
+            flat = pts.reshape(-1, interp.domain.dimension)
+            slow = np.array([evaluate_reference(interp, p) for p in flat])
+            assert np.allclose(np.ravel(fast), slow, rtol=0.0, atol=1e-13)
+
+        for interp in interps:
+            lo, hi = np.array(interp.domain.axes).T
+            d = interp.domain.dimension
+            pts = lo + (hi - lo) * rng.random((2, 3, 4, d))
+            for batch in (pts[0, 0, 0], pts[:0, 0, 0], pts[0], pts[:, :, 0], pts):
+                check(interp, batch)
+            # a budget of 3 points' partial sums: 24 points cross eight chunks
+            budget = 3 * interp.coefficients.size // interp.coefficients.shape[-1]
+            monkeypatch.setattr(interpolation_module, "_EVAL_BLOCK", budget)
+            check(interp, pts)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("points", [500, 4000])
+    def test_evaluate_memory_flat_in_points(self, points):
+        """The peak stays under one ceiling whatever the point count (a per-point
+        broadcast of the coefficients takes ~390 MB at 4000 points)."""
+        f = builtin_function("exp-d3")
+        interp = interpolate(f.evaluator, f.domain, NodeBudget((64,) * 3))
+        x = map_affine(f.domain, np.random.default_rng(3).uniform(-1.0, 1.0, (points, 3)))
+        tracemalloc.start()
+        try:
+            evaluate(interp, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_evaluate_grid_matches_pointwise(self):
         box = Hyperrectangle.unit(2)

@@ -1,10 +1,12 @@
 """Tests for the empirical verification suite and its test families."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from chebbound import verification as verification_module
 from chebbound.interpolation import Hyperrectangle, NodeBudget, interpolate
 from chebbound.verification import (
     RECORD_CSV_HEADER,
@@ -145,6 +147,27 @@ class TestSupError:
         with pytest.raises(ValueError, match="domain"):
             sup_error(other, interp, 65)
 
+    def test_slabs_match_one_whole_grid(self, monkeypatch):
+        """Slabbing the first probe axis changes nothing, bit for bit."""
+        for f in builtin_families(2) + builtin_families(3):
+            interp = interpolate(f.evaluator, f.domain, NodeBudget((6,) * f.dimension))
+            monkeypatch.setattr(verification_module, "_PROBE_BLOCK", 10**9)
+            whole = sup_error(f, interp, 65)
+            monkeypatch.setattr(verification_module, "_PROBE_BLOCK", 1000)  # ragged last slab
+            assert sup_error(f, interp, 65) == whole
+
+    def test_memory_bounded_in_three_dimensions(self):
+        """The 65^3-point probe grid is never built whole (that takes ~21 MB)."""
+        f = builtin_function("exp-d3")
+        interp = interpolate(f.evaluator, f.domain, NodeBudget((14,) * 3))
+        tracemalloc.start()
+        try:
+            sup_error(f, interp, 65)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
 
 class TestVerifyDomination:
     def test_records_pass_and_carry_inputs(self):
@@ -182,6 +205,14 @@ class TestVerifyDomination:
         f = builtin_function("sep-rational-d2")
         with pytest.raises(ValueError, match="radii"):
             verify_domination(f, [(1.5,)], [(5, 5)])
+
+    def test_explicit_zero_resolutions_are_not_defaults(self):
+        """A resolution of 0 reaches the probe or the V scan and is refused there."""
+        f = builtin_function("exp-d1")
+        with pytest.raises(ValueError, match="resolution must be >= 33"):
+            verify_domination(f, [(2.0,)], [(5,)], probe_resolution=0)
+        with pytest.raises(ValueError, match="at least 8 angles"):
+            verify_domination(f, [(2.0,)], [(5,)], v_resolution=0)
 
     def test_quick_suite_green(self):
         records = quick_suite()
