@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import jsonio
-from .bounds import BoundInputs, MParams, bound_combined, recursive_bound_B_min
-from .ellipse import EllipseRadii, GeneralizedBernsteinEllipse, estimate_V
+from .bounds import BoundInputs, MParams, _winner_tag, bound_combined, recursive_bound_B_min
+from .ellipse import EllipseRadii
 from .interpolation import Hyperrectangle, NodeBudget, evaluate, interpolate
 from .planner import PLAN_SELECTORS, PlanRequest, compare_plans, plan_nodes
 from . import verification
@@ -40,17 +40,11 @@ class CliUsageError(ValueError):
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    values = tuple(float(part) for part in text.split(","))
-    if not values:
-        raise ValueError("empty list")
-    return values
+    return tuple(float(part) for part in text.split(","))
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    values = tuple(int(part, 10) for part in text.split(","))
-    if not values:
-        raise ValueError("empty list")
-    return values
+    return tuple(int(part, 10) for part in text.split(","))
 
 
 #: flags taking a comma or colon list, whose first value may be negative
@@ -256,14 +250,7 @@ def cmd_interp(args: argparse.Namespace) -> int:
     probe = np.asarray(args.probe, dtype=float)
     value = evaluate(interp, probe)
     truth = float(np.asarray(f.evaluator(probe), dtype=float))
-    sup = verification.sup_error(
-        f, interp, verification.DEFAULT_PROBE_RESOLUTION.get(d, 65)
-    )
-    ellipse = GeneralizedBernsteinEllipse(f.domain, EllipseRadii(rho))
-    v_hat = estimate_V(
-        f.evaluator, ellipse, resolution=verification.DEFAULT_V_RESOLUTION.get(d, 32)
-    )
-    report = bound_combined(BoundInputs(EllipseRadii(rho), budget, v_hat))
+    [record] = verification.verify_domination(f, [rho], [budget.degrees])
 
     doc = {
         "function": f.id,
@@ -274,12 +261,12 @@ def cmd_interp(args: argparse.Namespace) -> int:
         "value": value,
         "true_value": truth,
         "probe_error": abs(value - truth),
-        "sup_error_estimate": sup,
-        "v_estimate": v_hat,
-        "a": report.a_value,
-        "b": report.b_value,
-        "combined": report.combined,
-        "winner": report.winner,
+        "sup_error_estimate": record.empirical_error,
+        "v_estimate": record.v_estimate,
+        "a": record.bound_a,
+        "b": record.bound_b,
+        "combined": record.bound_combined,
+        "winner": _winner_tag(record.bound_a, record.bound_b),
     }
     labels = {"v_estimate": "V estimate", "combined": "combined bound"}
     table = [(labels.get(key, key.replace("_", " ")), cell) for key, cell in doc.items()]

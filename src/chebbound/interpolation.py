@@ -1,14 +1,17 @@
 """Tensorized Chebyshev interpolation on hyperrectangles.
 
 Interpolants use the extrema grid ``x_k = cos(pi k / N)`` per axis and the
-product basis ``T_j(x) = prod_i T_{j_i}(x_i)``.  Coefficients come from the
-trapezoid-weighted cosine sums, directly or by a DCT-I that must agree.
+product basis ``T_j(x) = prod_i T_{j_i}(x_i)``.  :func:`sample_on_grid`
+returns the grid values as a plain array of shape ``(N_1+1, ..., N_D+1)``,
+and :func:`compute_coefficients` reads the orders from that shape.
+Coefficients come from the trapezoid-weighted cosine sums, directly or by a
+DCT-I that must agree.
 Both evaluators contract them one axis at a time with Chebyshev-Vandermonde
 rows ``T_0(u) .. T_N(u)``: per grid coordinate in :func:`evaluate_grid`, per
 point in chunks of bounded memory in :func:`evaluate`.
 :func:`evaluate_reference` sums the basis products naively, as the check.
 
-All objects are immutable after construction and safe to share across
+All classes are immutable after construction and safe to share across
 threads.
 """
 
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -28,7 +31,6 @@ __all__ = [
     "Hyperrectangle",
     "NodeBudget",
     "MultiIndex",
-    "SampleTensor",
     "ChebyshevInterpolant",
     "chebyshev_T",
     "univariate_nodes",
@@ -203,27 +205,6 @@ def map_affine_inv(domain: Hyperrectangle, x) -> NDArray[np.float64]:
     return np.clip(u, -1.0, 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class SampleTensor:
-    """Function values on the full tensor grid, shape ``(N_1+1, ..., N_D+1)``."""
-
-    domain: Hyperrectangle
-    budget: NodeBudget
-    values: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        if self.domain.dimension != self.budget.dimension:
-            raise ValueError("domain and budget dimensions differ")
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != self.budget.grid_shape:
-            raise ValueError(
-                f"sample tensor shape {values.shape} != grid shape {self.budget.grid_shape}"
-            )
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-
 def grid_axes(domain: Hyperrectangle, budget: NodeBudget) -> list[NDArray[np.float64]]:
     """Per-axis node coordinates in the domain."""
     centers, halfs = domain.centers, domain.halfwidths
@@ -244,8 +225,8 @@ def sample_on_grid(
     f: Callable[[NDArray[np.float64]], NDArray[np.float64]],
     domain: Hyperrectangle,
     budget: NodeBudget,
-) -> SampleTensor:
-    """Evaluate ``f`` on the full tensor grid.
+) -> NDArray[np.float64]:
+    """Values of ``f`` on the full tensor grid, shape ``budget.grid_shape``.
 
     ``f`` receives an array of points with the coordinate on the last axis
     and must return matching values.  Non-finite samples are rejected with
@@ -264,7 +245,7 @@ def sample_on_grid(
         raise ValueError(
             f"non-finite sample at node index {bad}, coordinates {pts[bad]}"
         )
-    return SampleTensor(domain, budget, values)
+    return values
 
 
 def _axis_transform_matrix(n: int) -> NDArray[np.float64]:
@@ -285,12 +266,14 @@ def _axis_transform_matrix(n: int) -> NDArray[np.float64]:
     return pref[:, None] * mat * weights[None, :]
 
 
-def compute_coefficients(samples: SampleTensor, method: str = "direct") -> NDArray[np.float64]:
+def compute_coefficients(samples, method: str = "direct") -> NDArray[np.float64]:
     """Coefficient tensor of the interpolant through ``samples``.
 
     Parameters
     ----------
-    samples : SampleTensor
+    samples : array_like
+        Values on the tensor grid, as :func:`sample_on_grid` returns them;
+        axis ``i`` has length ``N_i + 1``, which sets the order ``N_i``.
     method : {"direct", "dct"}
         "direct" evaluates the trapezoid-weighted cosine sums as written
         (the reference path).  "dct" routes through a type-I DCT per axis
@@ -302,26 +285,26 @@ def compute_coefficients(samples: SampleTensor, method: str = "direct") -> NDArr
     interpolant is constant in those variables.  The strict transform is
     only defined for ``N_i >= 1``.
     """
+    coeffs = np.asarray(samples, dtype=float)
     if method == "direct":
-        coeffs = samples.values
-        for axis, n in enumerate(samples.budget.degrees):
+        for axis, n in enumerate(d - 1 for d in coeffs.shape):
             if n == 0:
                 continue
             mat = _axis_transform_matrix(n)
             coeffs = np.moveaxis(np.tensordot(mat, coeffs, axes=(1, axis)), 0, axis)
         return np.ascontiguousarray(coeffs)
     if method == "dct":
-        return _compute_coefficients_dct(samples)
+        return _compute_coefficients_dct(coeffs)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _compute_coefficients_dct(samples: SampleTensor) -> NDArray[np.float64]:
+def _compute_coefficients_dct(samples: NDArray[np.float64]) -> NDArray[np.float64]:
     # DCT-I computes y_j = f_0 + (-1)^j f_n + 2 sum_{0<k<n} f_k cos(pi j k/n),
     # i.e. twice the halved-endpoint sum; rescale per axis to match pref(j).
     from scipy import fft as sp_fft
 
-    coeffs = samples.values.astype(float)
-    for axis, n in enumerate(samples.budget.degrees):
+    coeffs = samples
+    for axis, n in enumerate(d - 1 for d in samples.shape):
         if n == 0:
             continue
         coeffs = sp_fft.dct(coeffs, type=1, axis=axis)

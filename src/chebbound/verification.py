@@ -32,7 +32,6 @@ from .interpolation import (
     ChebyshevInterpolant,
     Hyperrectangle,
     NodeBudget,
-    compute_coefficients,
     evaluate,
     evaluate_grid,
     interpolate,
@@ -378,67 +377,79 @@ def check_admissible(f: TestFunction, radii: tuple[float, ...]) -> None:
             )
 
 
+def _default_resolution(
+    table: dict[int, int], keyword: str, f: TestFunction, resolution: int | None
+) -> int:
+    if resolution is None and f.dimension not in table:
+        raise ValueError(
+            f"{f.id}: no default {keyword} for dimension {f.dimension}; pass {keyword}="
+        )
+    return table[f.dimension] if resolution is None else resolution
+
+
+def _v_estimates(
+    f: TestFunction, radii_schedule: Sequence[tuple[float, ...]], resolution: int | None = None
+) -> list[float]:
+    """V on the ellipse of each radii vector, every vector checked admissible first."""
+    for radii in radii_schedule:
+        check_admissible(f, radii)
+    resolution = _default_resolution(DEFAULT_V_RESOLUTION, "v_resolution", f, resolution)
+    ellipses = [GeneralizedBernsteinEllipse(f.domain, EllipseRadii(r)) for r in radii_schedule]
+    return [estimate_V(f.evaluator, e, resolution=resolution) for e in ellipses]
+
+
 def verify_domination(
-    functions: TestFunction | Sequence[TestFunction],
+    f: TestFunction,
     radii_schedule: Sequence[Sequence[float]],
     budget_schedule: Sequence[Sequence[int]],
     *,
     probe_resolution: int | None = None,
     v_resolution: int | None = None,
 ) -> list[VerificationRecord]:
-    """Measure sup-error against the combined bound for every combination.
+    """Measure sup-error against the combined bound for every (radii, budget) pair.
 
-    For each function, radii vector, and budget: estimate V on the
-    generalized ellipse, interpolate, probe the true error, evaluate both
-    bounds, and record whether the error stays below
-    ``combined + 1e-12 + 1e-10 * combined``.  Radii outside the 0.98
-    admissibility margin are rejected before any computation.
+    V is estimated once per radii vector on its generalized ellipse, and
+    each budget is interpolated and its true error probed once; both bounds
+    are then evaluated per pair, and each record notes whether the error
+    stays below ``combined + 1e-12 + 1e-10 * combined``.  Records come
+    radii-major, budgets in schedule order.  Radii outside the 0.98
+    admissibility margin, and dimensions without a default resolution, are
+    rejected before any computation.
     """
-    if isinstance(functions, TestFunction):
-        functions = [functions]
     schedules = [tuple(float(r) for r in radii) for radii in radii_schedule]
-    budgets = [tuple(int(n) for n in budget) for budget in budget_schedule]
-    for f in functions:
-        for radii in schedules:
-            check_admissible(f, radii)
+    budgets = [NodeBudget(tuple(budget)) for budget in budget_schedule]
+    probe_res = _default_resolution(
+        DEFAULT_PROBE_RESOLUTION, "probe_resolution", f, probe_resolution
+    )
+    v_hats = _v_estimates(f, schedules, v_resolution)
+    errors = [
+        sup_error(f, interpolate(f.evaluator, f.domain, budget), probe_res)
+        for budget in budgets
+    ]
 
     records = []
-    for f in functions:
-        d = f.dimension
-        probe_res = DEFAULT_PROBE_RESOLUTION[d] if probe_resolution is None else probe_resolution
-        v_res = DEFAULT_V_RESOLUTION[d] if v_resolution is None else v_resolution
-        for radii in schedules:
-            ellipse = GeneralizedBernsteinEllipse(f.domain, EllipseRadii(radii))
-            v_hat = estimate_V(f.evaluator, ellipse, resolution=v_res)
-            for budget in budgets:
-                node_budget = NodeBudget(budget)
-                interp = interpolate(f.evaluator, f.domain, node_budget)
-                err = sup_error(f, interp, probe_res)
-                report = bound_combined(
-                    BoundInputs(EllipseRadii(radii), node_budget, v_hat)
+    for radii, v_hat in zip(schedules, v_hats):
+        for budget, err in zip(budgets, errors):
+            report = bound_combined(BoundInputs(EllipseRadii(radii), budget, v_hat))
+            records.append(
+                VerificationRecord(
+                    function_id=f.id,
+                    domain=f.domain,
+                    radii=radii,
+                    v_estimate=v_hat,
+                    budget=budget.degrees,
+                    empirical_error=err,
+                    bound_a=report.a_value,
+                    bound_b=report.b_value,
+                    bound_combined=report.combined,
+                    passed=err <= report.combined + 1e-12 + 1e-10 * report.combined,
                 )
-                passed = err <= report.combined + 1e-12 + 1e-10 * report.combined
-                records.append(
-                    VerificationRecord(
-                        function_id=f.id,
-                        domain=f.domain,
-                        radii=radii,
-                        v_estimate=v_hat,
-                        budget=budget,
-                        empirical_error=err,
-                        bound_a=report.a_value,
-                        bound_b=report.b_value,
-                        bound_combined=report.combined,
-                        passed=passed,
-                    )
-                )
+            )
     return records
 
 
-def _scaled_radii(f: TestFunction, factor: float, entire_rho: float) -> tuple[float, ...]:
-    return tuple(
-        entire_rho if math.isinf(adm) else factor * adm for adm in f.admissible_rho
-    )
+def _scaled_radii(f: TestFunction, factor: float) -> tuple[float, ...]:
+    return tuple(factor * adm for adm in f.admissible_rho)
 
 
 def default_suite() -> list[VerificationRecord]:
@@ -463,7 +474,7 @@ def default_suite() -> list[VerificationRecord]:
     sep2 = fam["sep-rational-d2"]
     records += verify_domination(
         sep2,
-        [_scaled_radii(sep2, 0.9, 0.0), _scaled_radii(sep2, 0.5, 0.0)],
+        [_scaled_radii(sep2, 0.9), _scaled_radii(sep2, 0.5)],
         [(4, 4), (8, 8), (12, 12), (10, 6)],
     )
     records += verify_domination(
@@ -482,7 +493,7 @@ def default_suite() -> list[VerificationRecord]:
     sep3 = fam["sep-rational-d3"]
     records += verify_domination(
         sep3,
-        [_scaled_radii(sep3, 0.9, 0.0)],
+        [_scaled_radii(sep3, 0.9)],
         [(4, 4, 4), (8, 6, 5), (6, 6, 6)],
     )
     records += verify_domination(
@@ -512,7 +523,7 @@ def quick_suite() -> list[VerificationRecord]:
     )
     records += verify_domination(
         fam["sep-rational-d2"],
-        [_scaled_radii(fam["sep-rational-d2"], 0.9, 0.0)],
+        [_scaled_radii(fam["sep-rational-d2"], 0.9)],
         [(8, 8)],
         probe_resolution=65,
     )
@@ -540,9 +551,7 @@ def coefficient_decay_check(f: TestFunction, rho: float, n: int) -> bool:
     if n < 1:
         raise ValueError(f"need at least degree 1, got {n}")
     rho = float(rho)
-    check_admissible(f, (rho,))
-    ellipse = GeneralizedBernsteinEllipse(f.domain, EllipseRadii((rho,)))
-    v_hat = estimate_V(f.evaluator, ellipse, resolution=DEFAULT_V_RESOLUTION[1])
+    [v_hat] = _v_estimates(f, [(rho,)])
     interp = interpolate(f.evaluator, f.domain, NodeBudget((n,)))
     coeffs = np.abs(interp.coefficients)
     tail_denom = 1.0 - rho ** (-2.0 * n)

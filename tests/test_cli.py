@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chebbound.cli import main
+from chebbound.verification import builtin_function, verify_domination
 
 
 def run(capsys, *argv):
@@ -177,6 +178,34 @@ class TestInterp:
         )
         assert domain[0] == 0
         assert json.loads(domain[1])["domain"] == [[-2.0, 1.0]]
+
+    @pytest.mark.parametrize(
+        "function_id, n, probe, rho",
+        [
+            ("sep-rational-d1", "12", "0.5", None),
+            ("sep-rational-d1", "12", "0.5", "1.7"),
+            ("exp-d2", "6,8", "0.1,-0.3", None),
+            ("exp-d2", "6,8", "0.1,-0.3", "3,5"),
+            ("nonsep-rational-d3", "5,4,6", "0.2,0.2,-0.7", None),
+            ("nonsep-rational-d3", "5,4,6", "0.2,0.2,-0.7", "2.2,2.4,2.6"),
+        ],
+    )
+    def test_numbers_match_verify_domination(self, capsys, function_id, n, probe, rho):
+        """interp reports the record verify_domination builds for its radii and budget."""
+        argv = ["interp", "--function", function_id, "--n", n, "--probe", probe]
+        argv += ["--format", "json"] + ([] if rho is None else ["--rho", rho])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        f = builtin_function(function_id)
+        [record] = verify_domination(f, [tuple(doc["rho"])], [tuple(doc["n"])])
+        if rho is not None:
+            assert doc["rho"] == [float(r) for r in rho.split(",")]
+        assert doc["v_estimate"] == record.v_estimate
+        assert doc["sup_error_estimate"] == record.empirical_error
+        assert doc["a"] == record.bound_a
+        assert doc["b"] == record.bound_b
+        assert doc["combined"] == record.bound_combined
 
     def test_wrong_probe_arity(self, capsys):
         code, _, err = run(

@@ -132,6 +132,7 @@ class TestCoefficients:
         box = Hyperrectangle(((0.0, 2.0), (-1.0, 3.0)))
         f = lambda x: np.exp(x[..., 0]) / (4.0 - x[..., 1])
         samples = sample_on_grid(f, box, NodeBudget((7, 9)))
+        assert samples.shape == NodeBudget((7, 9)).grid_shape
         direct = compute_coefficients(samples, method="direct")
         dct = compute_coefficients(samples, method="dct")
         assert np.allclose(direct, dct, atol=1e-13)

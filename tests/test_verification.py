@@ -206,6 +206,12 @@ class TestVerifyDomination:
         with pytest.raises(ValueError, match="radii"):
             verify_domination(f, [(1.5,)], [(5, 5)])
 
+    def test_fractional_order_rejected(self):
+        """A budget order of 2.5 is refused, not truncated to 2."""
+        f = builtin_function("exp-d1")
+        with pytest.raises(ValueError, match="integers"):
+            verify_domination(f, [(2.0,)], [(2.5,)])
+
     def test_explicit_zero_resolutions_are_not_defaults(self):
         """A resolution of 0 reaches the probe or the V scan and is refused there."""
         f = builtin_function("exp-d1")
@@ -213,6 +219,37 @@ class TestVerifyDomination:
             verify_domination(f, [(2.0,)], [(5,)], probe_resolution=0)
         with pytest.raises(ValueError, match="at least 8 angles"):
             verify_domination(f, [(2.0,)], [(5,)], v_resolution=0)
+
+    def test_each_budget_probed_once(self, monkeypatch):
+        """Two radii vectors share the interpolant and sup-error of each budget."""
+        probed = []
+        real = verification_module.sup_error
+
+        def counting(f, interpolant, resolution):
+            probed.append(interpolant.budget.degrees)
+            return real(f, interpolant, resolution)
+
+        monkeypatch.setattr(verification_module, "sup_error", counting)
+        f = builtin_function("exp-d1")
+        records = verify_domination(f, [(2.0,), (8.0,)], [(5,), (10,)], probe_resolution=129)
+        assert probed == [(5,), (10,)]
+        assert [(r.radii, r.budget) for r in records] == [
+            ((2.0,), (5,)), ((2.0,), (10,)), ((8.0,), (5,)), ((8.0,), (10,)),
+        ]
+        assert records[0].empirical_error == records[2].empirical_error
+        assert records[1].empirical_error == records[3].empirical_error
+
+    def test_missing_default_resolution_names_the_keyword(self):
+        """Past d=3 there is no default resolution; the error says what to pass."""
+        f = separable_rational((2.0,) * 4)
+        with pytest.raises(ValueError, match=r"dimension 4; pass probe_resolution="):
+            verify_domination(f, [(1.5,) * 4], [(3,) * 4])
+        with pytest.raises(ValueError, match=r"dimension 4; pass v_resolution="):
+            verify_domination(f, [(1.5,) * 4], [(3,) * 4], probe_resolution=33)
+        [record] = verify_domination(
+            f, [(1.5,) * 4], [(3,) * 4], probe_resolution=33, v_resolution=8
+        )
+        assert record.passed
 
     def test_quick_suite_green(self):
         records = quick_suite()
