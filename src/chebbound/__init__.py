@@ -4,7 +4,14 @@ Interpolate smooth functions on hyperrectangles with tensor-product
 Chebyshev grids, bound the sup-norm error from per-axis analyticity radii
 alone, take the pointwise minimum of two complementary bounds, and search
 for the cheapest node budget that certifies a requested accuracy.
+
+The bounds, the planner and their value types load eagerly and need only
+the standard library.  The numpy-backed names (interpolation, ellipse
+geometry, verification) load on first access (PEP 562), so importing the
+package for a bound or a plan never imports numpy.
 """
+
+import importlib
 
 from .bounds import (
     BoundInputs,
@@ -19,30 +26,7 @@ from .bounds import (
     recursive_bound_B,
     recursive_bound_B_min,
 )
-from .ellipse import (
-    EllipseRadii,
-    GeneralizedBernsteinEllipse,
-    contains,
-    ellipse_boundary_point,
-    estimate_V,
-    joukowski,
-    rho_for_real_singularity,
-    transform_tau,
-)
-from .interpolation import (
-    ChebyshevInterpolant,
-    Hyperrectangle,
-    NodeBudget,
-    alias_index,
-    chebyshev_T,
-    compute_coefficients,
-    evaluate,
-    evaluate_grid,
-    grid_points,
-    interpolate,
-    sample_on_grid,
-    univariate_nodes,
-)
+from .inputs import EllipseRadii, NodeBudget
 from .planner import (
     PLAN_SELECTORS,
     Plan,
@@ -51,24 +35,6 @@ from .planner import (
     compare_plans,
     invert_univariate,
     plan_nodes,
-)
-from .verification import (
-    ScanRecord,
-    TestFunction,
-    VerificationRecord,
-    builtin_families,
-    builtin_function,
-    coefficient_decay_check,
-    crossover_scan,
-    default_suite,
-    entire_exponential,
-    nonseparable_rational,
-    polynomial_product,
-    quick_suite,
-    reference_report,
-    separable_rational,
-    sup_error,
-    verify_domination,
 )
 
 __version__ = "0.1.0"
@@ -135,3 +101,69 @@ __all__ = [
     "crossover_scan",
     "reference_report",
 ]
+
+#: numpy-backed public names and the submodule each one loads from
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "Hyperrectangle",
+            "ChebyshevInterpolant",
+            "chebyshev_T",
+            "univariate_nodes",
+            "grid_points",
+            "sample_on_grid",
+            "compute_coefficients",
+            "interpolate",
+            "evaluate",
+            "evaluate_grid",
+            "alias_index",
+        ),
+        "interpolation",
+    ),
+    **dict.fromkeys(
+        (
+            "GeneralizedBernsteinEllipse",
+            "joukowski",
+            "ellipse_boundary_point",
+            "transform_tau",
+            "contains",
+            "rho_for_real_singularity",
+            "estimate_V",
+        ),
+        "ellipse",
+    ),
+    **dict.fromkeys(
+        (
+            "TestFunction",
+            "VerificationRecord",
+            "ScanRecord",
+            "separable_rational",
+            "entire_exponential",
+            "nonseparable_rational",
+            "polynomial_product",
+            "builtin_families",
+            "builtin_function",
+            "sup_error",
+            "verify_domination",
+            "default_suite",
+            "quick_suite",
+            "coefficient_decay_check",
+            "crossover_scan",
+            "reference_report",
+        ),
+        "verification",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

@@ -17,14 +17,20 @@ import math
 import re
 import sys
 
-import numpy as np
-
 from . import jsonio
-from .bounds import BoundInputs, MParams, _winner_tag, bound_combined, recursive_bound_B_min
-from .ellipse import EllipseRadii
-from .interpolation import Hyperrectangle, NodeBudget, evaluate, interpolate
+from .bounds import (
+    PUBLISHED_BOUNDS,
+    BoundInputs,
+    MParams,
+    _winner_tag,
+    bound_combined,
+    recursive_bound_B_min,
+)
+from .inputs import EllipseRadii, NodeBudget
 from .planner import PLAN_SELECTORS, PlanRequest, compare_plans, plan_nodes
-from . import verification
+
+# numpy and the numeric modules load inside the interp, verify and sweep
+# handlers, so `bound` and `plan` start on the standard library alone
 
 __all__ = ["main"]
 
@@ -75,7 +81,9 @@ def _rho_range(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def _domain_spec(text: str) -> Hyperrectangle:
+def _domain_spec(text: str):
+    from .interpolation import Hyperrectangle
+
     axes = []
     for part in text.split(","):
         ends = part.split(":")
@@ -130,7 +138,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     doc = report.to_json_dict()
     doc["recursive"] = recursive
     doc["epsilon"] = args.epsilon
-    note = verification.PUBLISHED_BOUNDS.get((tuple(rho), tuple(n), v))
+    note = PUBLISHED_BOUNDS.get((tuple(rho), tuple(n), v))
     if note is not None:
         doc["published_reference"] = dict(note)
 
@@ -210,6 +218,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_interp(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import verification
+    from .interpolation import evaluate, interpolate
+
     try:
         f = verification.builtin_function(args.function, domain=args.domain)
     except ValueError as exc:
@@ -279,6 +292,8 @@ def cmd_interp(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verification
+
     records = (
         verification.default_suite()
         if args.suite == "default"
@@ -317,6 +332,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from . import verification
+
     lo, hi = args.rho_range
     if not 1.0 < lo < hi:
         raise CliUsageError(f"--rho-range: need 1 < lo < hi, got {lo}:{hi}")

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from .inputs import MIN_RADIUS, EllipseRadii
 from .interpolation import Hyperrectangle
 
 __all__ = [
@@ -31,9 +32,6 @@ __all__ = [
     "estimate_V",
 ]
 
-#: radii this close to 1 are degenerate; the constructor refuses them
-MIN_RADIUS = 1.0 + 1e-9
-
 #: multiplicative safety applied to boundary-scan maxima
 V_SAFETY = 1.01
 
@@ -41,29 +39,6 @@ _CONTAINS_SLACK = 1e-12
 
 #: boundary points per block in :func:`estimate_V`; caps its working memory
 _SCAN_BLOCK = 2**16
-
-
-@dataclass(frozen=True)
-class EllipseRadii:
-    """Per-axis ellipse radii, strictly greater than 1."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        values = tuple(float(r) for r in self.values)
-        if not values:
-            raise ValueError("need at least one radius")
-        for i, r in enumerate(values):
-            if not math.isfinite(r) or r < MIN_RADIUS:
-                raise ValueError(f"axis {i}: radius must be >= {MIN_RADIUS}, got {r}")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
 
 
 @dataclass(frozen=True)

@@ -20,17 +20,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from . import jsonio
+from .inputs import NodeBudget
 
 __all__ = [
     "Hyperrectangle",
     "NodeBudget",
-    "MultiIndex",
     "ChebyshevInterpolant",
     "chebyshev_T",
     "univariate_nodes",
@@ -43,7 +43,6 @@ __all__ = [
     "evaluate_grid",
     "evaluate_reference",
     "alias_index",
-    "iter_multi_indices",
 ]
 
 #: points this close to the reference boundary (in [-1,1] coordinates) are clamped
@@ -88,53 +87,6 @@ class Hyperrectangle:
     @property
     def halfwidths(self) -> NDArray[np.float64]:
         return np.array([(hi - lo) / 2.0 for lo, hi in self.axes])
-
-
-@dataclass(frozen=True)
-class NodeBudget:
-    """Per-axis interpolation orders ``N_i >= 0``.
-
-    The grid has ``N_i + 1`` nodes along axis ``i``; construction refuses
-    budgets whose total grid size cannot be addressed as a tensor.
-    """
-
-    degrees: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        degrees = tuple(int(n) for n in self.degrees)
-        if not degrees:
-            raise ValueError("node budget needs at least one axis")
-        if any(n != q or q < 0 for n, q in zip(self.degrees, degrees)):
-            raise ValueError(f"degrees must be integers >= 0, got {self.degrees!r}")
-        total = 1
-        cap = np.iinfo(np.intp).max
-        for n in degrees:
-            total *= n + 1
-            if total > cap:
-                raise ValueError("total grid size exceeds addressable tensor size")
-        object.__setattr__(self, "degrees", degrees)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.degrees)
-
-    @property
-    def grid_shape(self) -> tuple[int, ...]:
-        return tuple(n + 1 for n in self.degrees)
-
-    @property
-    def grid_points(self) -> int:
-        return int(np.prod([n + 1 for n in self.degrees], dtype=object))
-
-
-#: multi-indices are plain int tuples; membership in the index set J is j_i <= N_i
-MultiIndex = tuple[int, ...]
-
-
-def iter_multi_indices(budget: NodeBudget) -> Iterator[MultiIndex]:
-    """Iterate the full index set J = {j : 0 <= j_i <= N_i} in lexicographic order."""
-    for j in np.ndindex(*budget.grid_shape):
-        yield tuple(int(v) for v in j)
 
 
 def chebyshev_T(k: int, x):
@@ -446,7 +398,7 @@ def evaluate_reference(interpolant: ChebyshevInterpolant, x) -> float:
     if u.ndim != 1:
         raise ValueError("reference evaluation takes a single point")
     total = 0.0
-    for j in iter_multi_indices(interpolant.budget):
+    for j in np.ndindex(*interpolant.budget.grid_shape):
         term = float(interpolant.coefficients[j])
         for i, ji in enumerate(j):
             term *= float(chebyshev_T(ji, u[i]))

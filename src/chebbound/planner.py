@@ -51,8 +51,7 @@ from .bounds import (
     bound_univariate,
     recursive_bound_B_min,
 )
-from .ellipse import EllipseRadii
-from .interpolation import NodeBudget
+from .inputs import EllipseRadii, NodeBudget
 
 __all__ = [
     "PlanRequest",

@@ -21,7 +21,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import jsonio
-from .bounds import BoundInputs, _winner_tag, bound_a, bound_b, bound_combined
+from .bounds import (
+    PUBLISHED_BOUNDS,
+    BoundInputs,
+    _winner_tag,
+    bound_a,
+    bound_b,
+    bound_combined,
+)
 from .ellipse import (
     EllipseRadii,
     GeneralizedBernsteinEllipse,
@@ -331,8 +338,9 @@ def sup_error(
     interpolation nodes, where the error vanishes) at ``resolution`` points
     per axis plus the halved cascades 512, 256, ... — so doubling the
     resolution strictly extends the probe set — and 100 * D uniform random
-    points from a fixed-seed generator.  An under-estimate of the true sup,
-    which can only make domination checks stricter.
+    points from a fixed-seed generator.  An under-estimate of the true sup:
+    a low estimate passes domination checks more easily and overstates
+    tightness, so the default resolutions err high.
     """
     resolution = int(resolution)
     if resolution < 33:
@@ -596,6 +604,7 @@ def crossover_scan(
         raise ValueError(f"need 1 < rho_lo < rho_hi, got {rho_lo}, {rho_hi}")
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
+    # np.exp, not math.exp: the pinned sweep bytes follow numpy's exp kernel
     grid = np.exp(np.linspace(math.log(rho_lo), math.log(rho_hi), int(steps)))
     records = []
     for rho in grid:
@@ -630,15 +639,6 @@ def crossover_scan(
 
 # ---------------------------------------------------------------------------
 # published reference values for the worked inputs
-
-
-#: published values of bounds a and b for the worked inputs, keyed by
-#: (radii, budget, V); our computed values differ (see the reproduction
-#: report), so these are recorded targets, never assertions
-PUBLISHED_BOUNDS = {
-    ((2.3, 1.8), (10, 10), 1.0): {"a": 0.0066, "b": 0.0018},
-    ((2.3, 2.5), (10, 10), 1.0): {"a": 0.0011, "b": 0.0017},
-}
 
 
 def reference_report() -> list[dict]:

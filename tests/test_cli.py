@@ -1,12 +1,19 @@
-"""End-to-end tests for the command-line interface (in-process)."""
+"""End-to-end tests for the command-line interface (in-process, and start-up in a subprocess)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chebbound.cli import main
 from chebbound.verification import builtin_function, verify_domination
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -280,3 +287,43 @@ class TestEnvironment:
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
+
+
+class TestStartup:
+    """`bound` and `plan` run on the standard library; numpy loads only when needed."""
+
+    @pytest.mark.parametrize(
+        "statement, loads_numpy",
+        [
+            ("import chebbound", False),
+            ("import chebbound.cli", False),
+            (
+                "from chebbound.cli import main; assert main(['bound', '--rho', "
+                "'2,2,2,2,2,2', '--n', '5,5,5,5,5,5', '--v', '1']) == 0",
+                False,
+            ),
+            (
+                "from chebbound.cli import main; assert main(['plan', '--rho', "
+                "'2.95,9.8', '--v', '1', '--eps', '2e-4', '--selector', 'all']) == 0",
+                False,
+            ),
+            (
+                "from chebbound.cli import main; assert main(['interp', '--function', "
+                "'poly-cubic-d2', '--n', '3,3', '--probe', '0.3,-0.4']) == 0",
+                True,
+            ),
+        ],
+        ids=["import", "import-cli", "bound", "plan", "interp"],
+    )
+    def test_numpy_loaded_only_when_needed(self, statement, loads_numpy):
+        script = f"{statement}\nimport sys\nprint('numpy' in sys.modules, file=sys.stderr)"
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.splitlines()[-1] == str(loads_numpy)

@@ -1,0 +1,42 @@
+"""The package namespace: eager bound and planner names, lazily loaded numeric ones."""
+
+import importlib
+
+import pytest
+
+import chebbound
+
+
+def test_every_public_name_resolves():
+    for name in chebbound.__all__:
+        getattr(chebbound, name)
+
+
+def test_lazy_names_come_from_their_module():
+    assert set(chebbound._LAZY) <= set(chebbound.__all__)
+    for name, module in chebbound._LAZY.items():
+        source = importlib.import_module(f"chebbound.{module}")
+        assert getattr(chebbound, name) is getattr(source, name)
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from chebbound import *", namespace)
+    assert set(chebbound.__all__) <= set(namespace)
+
+
+def test_dir_lists_every_public_name():
+    assert set(chebbound.__all__) <= set(dir(chebbound))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        chebbound.no_such_name
+
+
+def test_old_import_paths_give_the_same_objects():
+    from chebbound import bounds, ellipse, interpolation, verification
+
+    assert ellipse.EllipseRadii is chebbound.EllipseRadii
+    assert interpolation.NodeBudget is chebbound.NodeBudget
+    assert verification.PUBLISHED_BOUNDS is bounds.PUBLISHED_BOUNDS
