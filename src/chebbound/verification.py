@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -98,10 +98,28 @@ class TestFunction:
     family: str
     description: str
     exact_degrees: tuple[int, ...] | None = None  # polynomials only
+    #: per-axis real factors whose product is ``evaluator`` (separable families);
+    #: replacing ``evaluator`` alone leaves them describing the old function
+    factors: tuple[Callable[[NDArray], NDArray], ...] | None = None
 
     @property
     def dimension(self) -> int:
         return self.domain.dimension
+
+    def on_grid(self, axes_points: Sequence[NDArray]) -> NDArray[np.float64]:
+        """Values on the tensor product of ``axes_points``, one array axis per axis.
+
+        With ``factors`` set, the outer product of the per-axis factor values
+        in axis order, which costs O(r * d) factor evaluations for r points
+        per axis and equals ``evaluator`` on the meshgrid bit for bit: both
+        multiply the same factors left to right.  Otherwise ``evaluator`` on
+        the stacked meshgrid.
+        """
+        if self.factors is None:
+            pts = np.stack(np.meshgrid(*axes_points, indexing="ij"), axis=-1)
+            return np.asarray(self.evaluator(pts), dtype=float)
+        values = [factor(np.asarray(x)) for factor, x in zip(self.factors, axes_points)]
+        return np.asarray(reduce(np.multiply.outer, values), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -162,6 +180,9 @@ def separable_rational(
         points = np.asarray(points)
         return np.prod(1.0 / (carr - points), axis=-1)
 
+    def factor(ci, x):
+        return 1.0 / (ci - x)
+
     return TestFunction(
         id=id or f"sep-rational-d{len(c)}",
         domain=dom,
@@ -169,6 +190,7 @@ def separable_rational(
         admissible_rho=admissible,
         family="separable-rational",
         description=f"prod 1/(c_i - x_i), c={list(c)}",
+        factors=tuple(partial(factor, ci) for ci in c),
     )
 
 
@@ -251,9 +273,11 @@ def polynomial_product(
     """prod_i (x_i^3 - x_i/2 + 1/4): exactness control, degree 3 per axis."""
     dom = _as_domain(domain, dimension)
 
+    def factor(x):
+        return x**3 - x / 2.0 + 0.25
+
     def evaluator(points):
-        points = np.asarray(points)
-        return np.prod(points**3 - points / 2.0 + 0.25, axis=-1)
+        return np.prod(factor(np.asarray(points)), axis=-1)
 
     return TestFunction(
         id=id or f"poly-cubic-d{dimension}",
@@ -263,6 +287,7 @@ def polynomial_product(
         family="polynomial",
         description="prod (x_i^3 - x_i/2 + 1/4)",
         exact_degrees=(3,) * dimension,
+        factors=(factor,) * dimension,
     )
 
 
@@ -336,35 +361,53 @@ def sup_error(
 
     Probes a product grid of first-kind Chebyshev points (offset from the
     interpolation nodes, where the error vanishes) at ``resolution`` points
-    per axis plus the halved cascades 512, 256, ... — so doubling the
-    resolution strictly extends the probe set — and 100 * D uniform random
-    points from a fixed-seed generator.  An under-estimate of the true sup:
-    a low estimate passes domination checks more easily and overstates
-    tightness, so the default resolutions err high.
+    per axis plus the halving cascade ``resolution // 2``, ``// 4``, ...
+    down to the first level below 66 (513 gives 513, 256, 128, 64) — so
+    doubling the resolution strictly extends the probe set — and 100 * D
+    uniform random points from a fixed-seed generator.  The exact values
+    come from :meth:`TestFunction.on_grid`, per axis for separable families;
+    :func:`verify_domination` evaluates them once per probe slab for all of
+    its budgets.
+    An under-estimate of the true sup: a low estimate passes domination
+    checks more easily and overstates tightness, so the default resolutions
+    err high.
     """
+    return _sup_errors(f, [interpolant], resolution)[0]
+
+
+def _sup_errors(
+    f: TestFunction, interpolants: Sequence[ChebyshevInterpolant], resolution: int
+) -> list[float]:
+    """:func:`sup_error` of each interpolant, evaluating ``f`` once per probe slab."""
     resolution = int(resolution)
     if resolution < 33:
         raise ValueError(f"resolution must be >= 33 per axis, got {resolution}")
-    if f.domain != interpolant.domain:
+    if any(f.domain != interpolant.domain for interpolant in interpolants):
         raise ValueError("function and interpolant domains differ")
     d = f.dimension
     ref = _axis_probes(resolution)
     axes_points = [(lo + hi) / 2.0 + (hi - lo) / 2.0 * ref for lo, hi in f.domain.axes]
-    # slabs of the first probe axis keep memory bounded; the maximum does
-    # not depend on the slabs (np.maximum keeps a NaN, as one np.max would)
+    # slabs of the first probe axis keep memory bounded; the running
+    # maximum is the grid's maximum (np.maximum keeps a NaN, as one np.max
+    # would), but evaluate_grid may round differently per slab shape, so
+    # the slab size stays fixed
     rows = max(1, _PROBE_BLOCK // len(ref) ** (d - 1))
-    worst = 0.0
+    worst = [0.0] * len(interpolants)
     for start in range(0, len(ref), rows):
         slab = [axes_points[0][start : start + rows], *axes_points[1:]]
-        pts = np.stack(np.meshgrid(*slab, indexing="ij"), axis=-1)
-        exact = np.asarray(f.evaluator(pts), dtype=float)
-        worst = np.maximum(worst, np.max(np.abs(exact - evaluate_grid(interpolant, slab))))
+        exact = f.on_grid(slab)
+        for k, interpolant in enumerate(interpolants):
+            err = np.max(np.abs(exact - evaluate_grid(interpolant, slab)))
+            worst[k] = np.maximum(worst[k], err)
 
     rng = np.random.default_rng(PROBE_SEED)
     lo, hi = np.array(f.domain.axes).T
     random_pts = lo + (hi - lo) * rng.random((100 * d, d))
     exact_r = np.asarray(f.evaluator(random_pts), dtype=float)
-    return float(max(worst, np.max(np.abs(exact_r - evaluate(interpolant, random_pts)))))
+    return [
+        float(max(w, np.max(np.abs(exact_r - evaluate(interpolant, random_pts)))))
+        for w, interpolant in zip(worst, interpolants)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +460,9 @@ def verify_domination(
     """Measure sup-error against the combined bound for every (radii, budget) pair.
 
     V is estimated once per radii vector on its generalized ellipse, and
-    each budget is interpolated and its true error probed once; both bounds
+    each budget is interpolated and its true error probed once.  The probe
+    evaluates ``f`` once per slab for all budgets together, and per axis for
+    separable families (see :meth:`TestFunction.on_grid`).  Both bounds
     are then evaluated per pair, and each record notes whether the error
     stays below ``combined + 1e-12 + 1e-10 * combined``.  Records come
     radii-major, budgets in schedule order.  Radii outside the 0.98
@@ -430,10 +475,9 @@ def verify_domination(
         DEFAULT_PROBE_RESOLUTION, "probe_resolution", f, probe_resolution
     )
     v_hats = _v_estimates(f, schedules, v_resolution)
-    errors = [
-        sup_error(f, interpolate(f.evaluator, f.domain, budget), probe_res)
-        for budget in budgets
-    ]
+    errors = _sup_errors(
+        f, [interpolate(f.evaluator, f.domain, budget) for budget in budgets], probe_res
+    )
 
     records = []
     for radii, v_hat in zip(schedules, v_hats):

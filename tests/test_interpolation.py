@@ -137,6 +137,23 @@ class TestCoefficients:
         dct = compute_coefficients(samples, method="dct")
         assert np.allclose(direct, dct, atol=1e-13)
 
+    def test_transform_matrix_cached_read_only(self):
+        """One shared matrix per order, which no caller can write into."""
+        transform = interpolation_module._axis_transform_matrix
+        mat = transform(7)
+        assert transform(7) is mat
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+        assert np.array_equal(mat, transform.__wrapped__(7))
+
+        box = Hyperrectangle(((0.0, 2.0), (-1.0, 3.0)))
+        f = lambda x: np.exp(x[..., 0]) / (4.0 - x[..., 1])
+        samples = sample_on_grid(f, box, NodeBudget((7, 9)))
+        transform.cache_clear()
+        first = compute_coefficients(samples)
+        assert np.array_equal(compute_coefficients(samples), first)
+
     def test_unknown_method(self):
         box = Hyperrectangle.unit(1)
         samples = sample_on_grid(lambda x: x[..., 0], box, NodeBudget((2,)))

@@ -1,5 +1,6 @@
 """Tests for the empirical verification suite and its test families."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -26,7 +27,12 @@ from chebbound.verification import (
     sup_error,
     verify_domination,
 )
-from chebbound.verification import _axis_probes, _probe_levels
+from chebbound.verification import (
+    DEFAULT_PROBE_RESOLUTION,
+    _axis_probes,
+    _probe_levels,
+    _sup_errors,
+)
 
 
 class TestBuiltinFamilies:
@@ -148,25 +154,72 @@ class TestSupError:
             sup_error(other, interp, 65)
 
     def test_slabs_match_one_whole_grid(self, monkeypatch):
-        """Slabbing the first probe axis changes nothing, bit for bit."""
+        """Slabbing the first probe axis changes nothing, bit for bit, at budget 6 per axis.
+
+        Probing three budgets in one pass gives each the value it gets alone.
+        """
         for f in builtin_families(2) + builtin_families(3):
-            interp = interpolate(f.evaluator, f.domain, NodeBudget((6,) * f.dimension))
+            interps = [
+                interpolate(f.evaluator, f.domain, NodeBudget((n,) * f.dimension))
+                for n in (6, 4, 9)
+            ]
             monkeypatch.setattr(verification_module, "_PROBE_BLOCK", 10**9)
-            whole = sup_error(f, interp, 65)
+            whole = sup_error(f, interps[0], 65)
             monkeypatch.setattr(verification_module, "_PROBE_BLOCK", 1000)  # ragged last slab
-            assert sup_error(f, interp, 65) == whole
+            assert sup_error(f, interps[0], 65) == whole
+            assert _sup_errors(f, interps, 65) == [sup_error(f, i, 65) for i in interps]
 
     def test_memory_bounded_in_three_dimensions(self):
-        """The 65^3-point probe grid is never built whole (that takes ~21 MB)."""
-        f = builtin_function("exp-d3")
-        interp = interpolate(f.evaluator, f.domain, NodeBudget((14,) * 3))
-        tracemalloc.start()
-        try:
-            sup_error(f, interp, 65)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+        """Four budgets in one pass never build the 65^3-point probe grid whole (~21 MB)."""
+        for function_id in ("exp-d3", "sep-rational-d3"):
+            f = builtin_function(function_id)
+            interps = [
+                interpolate(f.evaluator, f.domain, NodeBudget((n,) * 3)) for n in (8, 10, 12, 14)
+            ]
+            tracemalloc.start()
+            try:
+                _sup_errors(f, interps, 65)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, function_id
+
+
+class TestGridForm:
+    #: a shifted, scaled box that keeps every builtin's singularities off-domain
+    SHIFTED = ((-2.0, 0.5), (0.25, 1.25), (-3.0, 1.0))
+
+    @pytest.mark.parametrize("function_id", [f.id for f in builtin_families()])
+    def test_on_grid_equals_evaluator_on_meshgrid(self, function_id):
+        """Bit for bit, on the default probe axes of the unit box and a shifted box."""
+        unit = builtin_function(function_id)
+        d = unit.dimension
+        shifted = builtin_function(function_id, domain=Hyperrectangle(self.SHIFTED[:d]))
+        ref = _axis_probes(DEFAULT_PROBE_RESOLUTION[d])
+        for f in (unit, shifted):
+            axes = [(lo + hi) / 2.0 + (hi - lo) / 2.0 * ref for lo, hi in f.domain.axes]
+            pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+            assert np.array_equal(f.on_grid(axes), f.evaluator(pts))
+
+    def test_factors_only_for_separable_families(self):
+        for f in builtin_families():
+            separable = f.family in ("separable-rational", "polynomial")
+            assert (f.factors is not None) == separable, f.id
+            assert f.factors is None or len(f.factors) == f.dimension
+
+    @pytest.mark.parametrize("function_id", ["exp-d2", "nonsep-rational-d2"])
+    def test_without_factors_the_evaluator_sees_the_meshgrid(self, function_id):
+        f = builtin_function(function_id)
+        seen = []
+
+        def recording(points):
+            seen.append(points.shape)
+            return f.evaluator(points)
+
+        axes = [np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 7)]
+        values = dataclasses.replace(f, evaluator=recording).on_grid(axes)
+        assert seen == [(5, 7, 2)]
+        assert values.shape == (5, 7)
 
 
 class TestVerifyDomination:
@@ -221,23 +274,43 @@ class TestVerifyDomination:
             verify_domination(f, [(2.0,)], [(5,)], v_resolution=0)
 
     def test_each_budget_probed_once(self, monkeypatch):
-        """Two radii vectors share the interpolant and sup-error of each budget."""
-        probed = []
-        real = verification_module.sup_error
+        """One interpolant per budget; f once per probe slab for all budgets and radii."""
+        radii = [(2.0, 2.4, 3.0), (1.5, 1.5, 1.5)]
+        budgets = [(4, 4, 4), (6, 5, 4), (5, 5, 5)]
+        interpolated, slab_rows = [], []
+        real_interpolate = verification_module.interpolate
+        real_on_grid = verification_module.TestFunction.on_grid
 
-        def counting(f, interpolant, resolution):
-            probed.append(interpolant.budget.degrees)
-            return real(f, interpolant, resolution)
+        def counting_interpolate(fn, domain, budget):
+            interpolated.append(budget.degrees)
+            return real_interpolate(fn, domain, budget)
 
-        monkeypatch.setattr(verification_module, "sup_error", counting)
-        f = builtin_function("exp-d1")
-        records = verify_domination(f, [(2.0,), (8.0,)], [(5,), (10,)], probe_resolution=129)
-        assert probed == [(5,), (10,)]
-        assert [(r.radii, r.budget) for r in records] == [
-            ((2.0,), (5,)), ((2.0,), (10,)), ((8.0,), (5,)), ((8.0,), (10,)),
-        ]
-        assert records[0].empirical_error == records[2].empirical_error
-        assert records[1].empirical_error == records[3].empirical_error
+        def counting_on_grid(self, axes_points):
+            slab_rows.append(len(axes_points[0]))
+            return real_on_grid(self, axes_points)
+
+        monkeypatch.setattr(verification_module, "interpolate", counting_interpolate)
+        monkeypatch.setattr(verification_module.TestFunction, "on_grid", counting_on_grid)
+        probes = len(_axis_probes(DEFAULT_PROBE_RESOLUTION[3]))
+        rows = verification_module._PROBE_BLOCK // probes**2
+        # one separable family (per-axis factors) and one on the meshgrid path
+        for function_id in ("sep-rational-d3", "exp-d3"):
+            f = builtin_function(function_id)
+            interpolated.clear()
+            slab_rows.clear()
+            records = verify_domination(f, radii, budgets)
+            assert interpolated == budgets
+            assert len(slab_rows) == math.ceil(probes / rows) > 1
+            assert sum(slab_rows) == probes
+
+            assert [(r.radii, r.budget) for r in records] == [
+                (rad, budget) for rad in radii for budget in budgets
+            ]
+            expected = [
+                sup_error(f, interpolate(f.evaluator, f.domain, NodeBudget(budget)), 65)
+                for budget in budgets
+            ]
+            assert [r.empirical_error for r in records] == expected * len(radii)
 
     def test_missing_default_resolution_names_the_keyword(self):
         """Past d=3 there is no default resolution; the error says what to pass."""
