@@ -5,10 +5,11 @@ Chebyshev grids, bound the sup-norm error from per-axis analyticity radii
 alone, take the pointwise minimum of two complementary bounds, and search
 for the cheapest node budget that certifies a requested accuracy.
 
-The bounds, the planner and their value types load eagerly and need only
-the standard library.  The numpy-backed names (interpolation, ellipse
-geometry, verification) load on first access (PEP 562), so importing the
-package for a bound or a plan never imports numpy.
+The bounds, the A-vs-B crossover scan, the planner and their value types
+load eagerly and need only the standard library.  The numpy-backed names
+(interpolation, ellipse geometry, verification) load on first access
+(PEP 562), so importing the package for a bound, a plan or a scan never
+imports numpy.
 """
 
 import importlib
@@ -17,11 +18,13 @@ from .bounds import (
     BoundInputs,
     BoundReport,
     MParams,
+    ScanRecord,
     bound_a,
     bound_a_for_sigma,
     bound_b,
     bound_combined,
     bound_univariate,
+    crossover_scan,
     m_upper_bound,
     recursive_bound_B,
     recursive_bound_B_min,
@@ -136,7 +139,6 @@ _LAZY = {
         (
             "TestFunction",
             "VerificationRecord",
-            "ScanRecord",
             "separable_rational",
             "entire_exponential",
             "nonseparable_rational",
@@ -148,7 +150,6 @@ _LAZY = {
             "default_suite",
             "quick_suite",
             "coefficient_decay_check",
-            "crossover_scan",
             "reference_report",
         ),
         "verification",

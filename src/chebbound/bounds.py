@@ -32,13 +32,18 @@ Numerics: every term is evaluated in ordinary double arithmetic while its
 decayed power stays a normal double, and in log space below that, so
 results track the exact value to ~1e-13 relative across radii in (1, 50]
 and degrees up to several hundred.  Sums use ``math.fsum``.
+
+:func:`crossover_scan` tabulates A against B over equal radii and bisects
+where the winner flips; like every bound here it needs only the standard
+library.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Sequence
 
 from . import jsonio
 from .inputs import EllipseRadii, NodeBudget
@@ -56,6 +61,9 @@ __all__ = [
     "recursive_bound_B",
     "recursive_bound_B_min",
     "EXHAUSTIVE_ORDER_LIMIT",
+    "ScanRecord",
+    "crossover_scan",
+    "scan_to_csv",
 ]
 
 #: permutation minimisation is exhaustive up to this dimension
@@ -588,6 +596,92 @@ def recursive_bound_B_min(
         inputs.radii.values, inputs.budget.degrees, params.epsilon
     )
     return _finish(core, core_log, inputs.v_bound), sigma_star, search
+
+
+# ---------------------------------------------------------------------------
+# A-vs-B crossover scan
+
+
+@dataclass(frozen=True)
+class ScanRecord:
+    """One point of the equal-radii A-vs-B scan."""
+
+    rho: float
+    a: float
+    b: float
+    winner: str  # "A" | "B" | "TIE" | "CROSSOVER" (the bisected final record)
+
+
+def _scan_point(rho: float, n: int, d: int, v: float) -> tuple[float, float]:
+    inputs = BoundInputs(
+        EllipseRadii((rho,) * d), NodeBudget((n,) * d), v
+    )
+    return bound_a(inputs)[0], bound_b(inputs)
+
+
+def crossover_scan(
+    n: int,
+    d: int,
+    rho_lo: float,
+    rho_hi: float,
+    steps: int = 200,
+    v_bound: float = 1.0,
+) -> list[ScanRecord]:
+    """A and B on a log-uniform equal-radii grid, plus bisected crossovers.
+
+    Scans ``rho`` over ``steps`` log-spaced points with all radii equal and
+    the budget ``(n, ..., n)``.  Wherever the winner flips between
+    consecutive grid points, bisects ``a - b`` to within 1e-6 in rho and
+    appends the crossing as a final record tagged ``winner="CROSSOVER"``.
+    """
+    if not (1.0 < rho_lo < rho_hi and math.isfinite(rho_hi)):
+        raise ValueError(f"need finite 1 < rho_lo < rho_hi, got {rho_lo}, {rho_hi}")
+    if steps < 2:
+        raise ValueError(f"need at least 2 steps, got {steps}")
+    steps = int(steps)
+    # the exponents are numpy.linspace(start, stop, steps) bit for bit:
+    # i * step + start, with the last one exactly stop
+    start, stop = math.log(rho_lo), math.log(rho_hi)
+    step = (stop - start) / (steps - 1)
+    grid = [math.exp(i * step + start) for i in range(steps - 1)]
+    grid.append(math.exp(stop))
+    records = []
+    for rho in grid:
+        a, b = _scan_point(rho, n, d, v_bound)
+        records.append(ScanRecord(rho, a, b, _winner_tag(a, b)))
+
+    crossings = []
+    for left, right in zip(records[:-1], records[1:]):
+        s_left = left.a - left.b
+        s_right = right.a - right.b
+        if s_left == 0.0 or s_right == 0.0 or (s_left < 0) == (s_right < 0):
+            continue
+        lo, hi = left.rho, right.rho
+        f_lo = s_left
+        while hi - lo > 1e-6:
+            mid = (lo + hi) / 2.0
+            a_mid, b_mid = _scan_point(mid, n, d, v_bound)
+            s_mid = a_mid - b_mid
+            if s_mid == 0.0:
+                lo = hi = mid
+                break
+            if (s_mid < 0) == (f_lo < 0):
+                lo = mid
+                f_lo = s_mid
+            else:
+                hi = mid
+        root = (lo + hi) / 2.0
+        a_root, b_root = _scan_point(root, n, d, v_bound)
+        crossings.append(ScanRecord(root, a_root, b_root, "CROSSOVER"))
+    return records + crossings
+
+
+SCAN_CSV_HEADER = "rho,a,b,winner"
+
+
+def scan_to_csv(records: Sequence[ScanRecord]) -> str:
+    """Figure-style sweep data: columns rho, a, b, winner."""
+    return jsonio.csv_text(SCAN_CSV_HEADER.split(","), [asdict(r) for r in records])
 
 
 #: published values of bounds a and b for the worked inputs, keyed by

@@ -24,13 +24,15 @@ from .bounds import (
     MParams,
     _winner_tag,
     bound_combined,
+    crossover_scan,
     recursive_bound_B_min,
+    scan_to_csv,
 )
 from .inputs import EllipseRadii, NodeBudget
 from .planner import PLAN_SELECTORS, PlanRequest, compare_plans, plan_nodes
 
-# numpy and the numeric modules load inside the interp, verify and sweep
-# handlers, so `bound` and `plan` start on the standard library alone
+# numpy and the numeric modules load inside the interp and verify
+# handlers, so `bound`, `plan` and `sweep` start on the standard library alone
 
 __all__ = ["main"]
 
@@ -332,9 +334,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from . import verification
-
     lo, hi = args.rho_range
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise CliUsageError(f"--rho-range: ends must be finite, got {lo}:{hi}")
     if not 1.0 < lo < hi:
         raise CliUsageError(f"--rho-range: need 1 < lo < hi, got {lo}:{hi}")
     if args.steps < 2:
@@ -344,8 +346,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.d < 1:
         raise CliUsageError(f"--d: dimension must be >= 1, got {args.d}")
 
-    records = verification.crossover_scan(args.n, args.d, lo, hi, args.steps, args.v)
-    csv = verification.scan_to_csv(records)
+    records = crossover_scan(args.n, args.d, lo, hi, args.steps, args.v)
+    csv = scan_to_csv(records)
     _write_csv(args.csv, csv)
 
     crossings = [r.rho for r in records if r.winner == "CROSSOVER"]

@@ -2,9 +2,10 @@
 
 Test families with provable analyticity regions, a dense sup-error probe,
 and the domination check (measured error must stay under ``min{a, b}``).
-Also hosts the A-vs-B crossover scan and the coefficient-decay check, plus
-the side-by-side report of published reference values for the worked
-inputs this package reproduces.
+Also hosts the coefficient-decay check and the side-by-side report of
+published reference values for the worked inputs this package
+reproduces; the A-vs-B crossover scan it reports lives in
+:mod:`chebbound.bounds`, which needs no numpy, and is re-exported here.
 
 Every routine here is deterministic: probe grids are fixed, random probes
 use a hard-coded seed, and boundary scans use uniform angle grids.
@@ -13,7 +14,7 @@ use a hard-coded seed, and boundary scans use uniform angle grids.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial, reduce
 from typing import Callable, Sequence
 
@@ -23,11 +24,14 @@ from numpy.typing import NDArray
 from . import jsonio
 from .bounds import (
     PUBLISHED_BOUNDS,
+    SCAN_CSV_HEADER,
     BoundInputs,
-    _winner_tag,
+    ScanRecord,
     bound_a,
     bound_b,
     bound_combined,
+    crossover_scan,
+    scan_to_csv,
 )
 from .ellipse import (
     EllipseRadii,
@@ -139,16 +143,6 @@ class VerificationRecord:
 
     def to_json_dict(self) -> dict:
         return dict(vars(self), domain=[list(ax) for ax in self.domain.axes])
-
-
-@dataclass(frozen=True)
-class ScanRecord:
-    """One point of the equal-radii A-vs-B scan."""
-
-    rho: float
-    a: float
-    b: float
-    winner: str  # "A" | "B" | "TIE" | "CROSSOVER" (the bisected final record)
 
 
 # ---------------------------------------------------------------------------
@@ -619,69 +613,6 @@ def coefficient_decay_check(f: TestFunction, rho: float, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# A-vs-B crossover scan
-
-
-def _scan_point(rho: float, n: int, d: int, v: float) -> tuple[float, float]:
-    inputs = BoundInputs(
-        EllipseRadii((rho,) * d), NodeBudget((n,) * d), v
-    )
-    return bound_a(inputs)[0], bound_b(inputs)
-
-
-def crossover_scan(
-    n: int,
-    d: int,
-    rho_lo: float,
-    rho_hi: float,
-    steps: int = 200,
-    v_bound: float = 1.0,
-) -> list[ScanRecord]:
-    """A and B on a log-uniform equal-radii grid, plus bisected crossovers.
-
-    Scans ``rho`` over ``steps`` log-spaced points with all radii equal and
-    the budget ``(n, ..., n)``.  Wherever the winner flips between
-    consecutive grid points, bisects ``a - b`` to within 1e-6 in rho and
-    appends the crossing as a final record tagged ``winner="CROSSOVER"``.
-    """
-    if not 1.0 < rho_lo < rho_hi:
-        raise ValueError(f"need 1 < rho_lo < rho_hi, got {rho_lo}, {rho_hi}")
-    if steps < 2:
-        raise ValueError(f"need at least 2 steps, got {steps}")
-    # np.exp, not math.exp: the pinned sweep bytes follow numpy's exp kernel
-    grid = np.exp(np.linspace(math.log(rho_lo), math.log(rho_hi), int(steps)))
-    records = []
-    for rho in grid:
-        a, b = _scan_point(float(rho), n, d, v_bound)
-        records.append(ScanRecord(float(rho), a, b, _winner_tag(a, b)))
-
-    crossings = []
-    for left, right in zip(records[:-1], records[1:]):
-        s_left = left.a - left.b
-        s_right = right.a - right.b
-        if s_left == 0.0 or s_right == 0.0 or (s_left < 0) == (s_right < 0):
-            continue
-        lo, hi = left.rho, right.rho
-        f_lo = s_left
-        while hi - lo > 1e-6:
-            mid = (lo + hi) / 2.0
-            a_mid, b_mid = _scan_point(mid, n, d, v_bound)
-            s_mid = a_mid - b_mid
-            if s_mid == 0.0:
-                lo = hi = mid
-                break
-            if (s_mid < 0) == (f_lo < 0):
-                lo = mid
-                f_lo = s_mid
-            else:
-                hi = mid
-        root = (lo + hi) / 2.0
-        a_root, b_root = _scan_point(root, n, d, v_bound)
-        crossings.append(ScanRecord(root, a_root, b_root, "CROSSOVER"))
-    return records + crossings
-
-
-# ---------------------------------------------------------------------------
 # published reference values for the worked inputs
 
 
@@ -751,11 +682,3 @@ def records_to_csv(records: Sequence[VerificationRecord]) -> str:
     """One row per record; lists are space-separated inside a cell."""
     rows = [dict(r.to_json_dict(), dimension=r.domain.dimension) for r in records]
     return jsonio.csv_text(RECORD_CSV_HEADER.split(","), rows)
-
-
-SCAN_CSV_HEADER = "rho,a,b,winner"
-
-
-def scan_to_csv(records: Sequence[ScanRecord]) -> str:
-    """Figure-style sweep data: columns rho, a, b, winner."""
-    return jsonio.csv_text(SCAN_CSV_HEADER.split(","), [asdict(r) for r in records])

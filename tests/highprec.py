@@ -26,6 +26,12 @@ def univariate(rho, n, v):
         return 4 * v * rho ** (-mpf(n)) / (rho - 1)
 
 
+def exp(x):
+    """e^x for the double ``x``."""
+    with mp.workdps(DPS):
+        return mp.exp(mpf(x))
+
+
 def bound_b(rho, n, v):
     """Tensor (Fourier-style) bound: 2^(D/2+1) V (sum_i rho_i^-2Ni prod_j 1/(1-rho_j^-2))^(1/2)."""
     with mp.workdps(DPS):

@@ -269,10 +269,19 @@ class TestSweep:
         assert code == 0
         assert "crossings    1" in out
 
-    def test_bad_range(self, capsys):
-        code, _, err = run(capsys, "sweep", "--rho-range", "0.5:3")
+    @pytest.mark.parametrize(
+        "rho_range, cause",
+        [
+            ("0.5:3", "need 1 < lo < hi"),
+            ("1.1:inf", "ends must be finite"),
+            ("nan:3.5", "ends must be finite"),
+        ],
+        ids=["below-one", "infinite", "nan"],
+    )
+    def test_bad_range(self, capsys, rho_range, cause):
+        code, _, err = run(capsys, "sweep", "--rho-range", rho_range)
         assert code == 2
-        assert "--rho-range" in err
+        assert err.startswith(f"error: --rho-range: {cause}")
 
     def test_csv_file(self, capsys, tmp_path):
         target = tmp_path / "scan.csv"
@@ -290,7 +299,7 @@ class TestEnvironment:
 
 
 class TestStartup:
-    """`bound` and `plan` run on the standard library; numpy loads only when needed."""
+    """`bound`, `plan` and `sweep` run on the standard library; numpy loads only when needed."""
 
     @pytest.mark.parametrize(
         "statement, loads_numpy",
@@ -307,13 +316,14 @@ class TestStartup:
                 "'2.95,9.8', '--v', '1', '--eps', '2e-4', '--selector', 'all']) == 0",
                 False,
             ),
+            ("from chebbound.cli import main; assert main(['sweep', '--steps', '3']) == 0", False),
             (
                 "from chebbound.cli import main; assert main(['interp', '--function', "
                 "'poly-cubic-d2', '--n', '3,3', '--probe', '0.3,-0.4']) == 0",
                 True,
             ),
         ],
-        ids=["import", "import-cli", "bound", "plan", "interp"],
+        ids=["import", "import-cli", "bound", "plan", "sweep", "interp"],
     )
     def test_numpy_loaded_only_when_needed(self, statement, loads_numpy):
         script = f"{statement}\nimport sys\nprint('numpy' in sys.modules, file=sys.stderr)"

@@ -6,7 +6,9 @@ change that moves any printed value by one ulp fails here on purpose.  A
 few values sit at rounding level (the interp ``value`` and ``probe_error``
 digits, the polynomial probe errors, the suite's sup errors); they were
 recorded with numpy 2.4 on x86-64, and another
-numpy build may move their last digits.
+numpy build may move their last digits.  The ``sweep`` digits follow the
+platform libm ``exp`` (``math.exp``) that builds the scan grid, so a libm
+that rounds ``exp`` differently may move them by one ulp.
 
 To record the snapshots again (only when an output change is intended):
 

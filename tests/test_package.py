@@ -40,3 +40,6 @@ def test_old_import_paths_give_the_same_objects():
     assert ellipse.EllipseRadii is chebbound.EllipseRadii
     assert interpolation.NodeBudget is chebbound.NodeBudget
     assert verification.PUBLISHED_BOUNDS is bounds.PUBLISHED_BOUNDS
+    assert verification.crossover_scan is bounds.crossover_scan is chebbound.crossover_scan
+    assert verification.ScanRecord is bounds.ScanRecord is chebbound.ScanRecord
+    assert verification.scan_to_csv is bounds.scan_to_csv

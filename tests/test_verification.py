@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 
+import highprec as hp
 import numpy as np
 import pytest
 
@@ -386,6 +387,25 @@ class TestCrossoverScan:
             crossover_scan(10, 2, 0.9, 5.0)
         with pytest.raises(ValueError, match="steps"):
             crossover_scan(10, 2, 1.5, 5.0, steps=1)
+        for rho_hi in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                crossover_scan(10, 2, 1.1, rho_hi)
+
+    def test_grid_is_math_exp_of_linspace(self):
+        """Each grid rho is libm exp of numpy.linspace's exponent, within 1 ulp of e^x."""
+        rng = np.random.default_rng(13)
+        draws = [(1.1, 20.0, 2), (1.5, 1.5000001, 3)]
+        for _ in range(30):
+            lo = 1.0 + rng.uniform(1e-6, 4.0)
+            hi = lo * (1.0 + rng.uniform(1e-6, 50.0))
+            draws.append((lo, hi, int(rng.integers(2, 60))))
+        for lo, hi, steps in draws:
+            exponents = np.linspace(math.log(lo), math.log(hi), steps).tolist()
+            records = crossover_scan(3, 1, lo, hi, steps)
+            grid = [r.rho for r in records if r.winner != "CROSSOVER"]
+            assert grid == [math.exp(x) for x in exponents]
+            for rho, x in zip(grid, exponents):
+                assert abs(rho - hp.exp(x)) <= math.ulp(rho)
 
 
 class TestReportsAndCsv:
