@@ -21,6 +21,13 @@ subject to ``bound(N) <= epsilon`` for a chosen bound selector:
    feasibility being monotone in each degree, as the bounds are
    nonincreasing in every ``N_i``.
 
+Each test "does this budget certify epsilon?" is decided from the cheapest
+sufficient evidence (``_make_feasible``): under COMBINED, B is tried first,
+since the minimum certifies when either bound does; then A, COMBINED and
+RECURSIVE reject a budget whose order-free first sum
+``V sum_i 4 rho_i^-N_i / (rho_i - 1)`` already exceeds the target; only the
+rest pay for the search over axis orders.
+
 Objective ties prefer the lexicographically smallest budget.  The search
 evaluates bounds through the same cores as the public bound functions,
 and the returned plan re-certifies through the public entry point.
@@ -41,10 +48,13 @@ from . import jsonio
 from .bounds import (
     BoundInputs,
     MParams,
+    _TINY,
     _bound_a_min_core,
     _bound_b_core,
     _finish,
     _recursive_min_core,
+    _sum_terms,
+    _univ_core,
     bound_a,
     bound_b,
     bound_combined,
@@ -78,6 +88,21 @@ _MAX_PLAN_DIMENSION = 12
 # evaluator's own feasibility decisions.
 _LIMIT_SLACK = 1e-11
 
+# A budget is rejected on the order-free first sum alone only when that sum
+# exceeds epsilon by this relative margin, which covers the rounding gap
+# between the log-path sums of the first sum and of the full bound.
+_FLOOR_SLACK = 1e-9
+
+
+def _check_target(eps: float) -> None:
+    # below the smallest normal double the bounds report 0.0, so every
+    # budget would "certify" through underflow
+    if not math.isfinite(eps) or eps < _TINY:
+        raise ValueError(
+            f"target must be finite and at least the smallest normal double "
+            f"{_TINY!r}, got {eps}"
+        )
+
 
 @dataclass(frozen=True)
 class PlanRequest:
@@ -93,8 +118,7 @@ class PlanRequest:
         if not math.isfinite(v) or v <= 0:
             raise ValueError(f"magnitude bound must be finite and > 0, got {v}")
         eps = float(self.epsilon_target)
-        if not math.isfinite(eps) or eps <= 0:
-            raise ValueError(f"target must be finite and > 0, got {eps}")
+        _check_target(eps)
         if self.selector not in PLAN_SELECTORS:
             raise ValueError(
                 f"selector must be one of {PLAN_SELECTORS}, got {self.selector!r}"
@@ -184,8 +208,7 @@ def invert_univariate(rho: float, v: float, eps: float) -> int:
     eps = float(eps)
     if not math.isfinite(v) or v <= 0:
         raise ValueError(f"magnitude bound must be finite and > 0, got {v}")
-    if not math.isfinite(eps) or eps <= 0:
-        raise ValueError(f"target must be finite and > 0, got {eps}")
+    _check_target(eps)
     return _least(
         lambda n: bound_univariate(rho, n, v) <= eps,
         0,
@@ -194,7 +217,7 @@ def invert_univariate(rho: float, v: float, eps: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# selector evaluators (the public bounds' own cores at V=1, times V)
+# feasibility tests (the public bounds' own cores at V=1, times V)
 
 _SELECTOR_CORES = {
     "A": lambda radii, degrees: _bound_a_min_core(radii, degrees, "consistent")[0],
@@ -203,17 +226,47 @@ _SELECTOR_CORES = {
 }
 
 
-def _make_evaluator(selector: str, radii: tuple[float, ...], v: float):
-    if selector == "COMBINED":
-        a_eval = _make_evaluator("A", radii, v)
-        b_eval = _make_evaluator("B", radii, v)
-        return lambda degrees: min(a_eval(degrees), b_eval(degrees))
-    core = _SELECTOR_CORES[selector]
+def _make_feasible(selector: str, radii: tuple[float, ...], v: float, eps: float):
+    """feasible(degrees) -> bool: does the selected bound certify ``eps``?
 
-    def bnd(degrees: tuple[int, ...]) -> float:
-        return _finish(*core(radii, degrees), v)
+    The decision equals ``bound(degrees) <= eps`` with COMBINED as
+    ``min(A, B)``, but is taken from the cheapest sufficient evidence:
 
-    return bnd
+    1. COMBINED: if B <= eps, so is the minimum.  B costs O(d).
+    2. A, COMBINED, RECURSIVE: the floor is the order-free first sum
+       ``sum_i 4 rho_i^-N_i / (rho_i - 1)`` times V, summed and finished
+       like the bounds.  If it exceeds ``eps * (1 + _FLOOR_SLACK)``, no
+       order certifies.
+    3. Otherwise the order search of the selected core decides.
+
+    Step 2 is exact.  The floor's terms are the same doubles as the first
+    d terms of A (consistent variant) and of the recursive bound in every
+    order, and every other term is >= 0.  When the floor sums directly,
+    so does the full bound (its largest term is no smaller), and ``fsum``
+    is correctly rounded, so the sum over more terms is at least the sum
+    over fewer.  When either sums through logs, both sums are within about
+    1e-13 relative of the exact sums of their terms; the margin covers
+    that, and a test inside the margin goes on to step 3.  ``_finish`` is
+    monotone and keeps a normal result within rounding of core times V, and
+    targets are at least the smallest normal double, so a floor above the
+    margin means a bound above ``eps``.
+    """
+    b_core = _SELECTOR_CORES["B"]
+    if selector == "B":
+        return lambda degrees: _finish(*b_core(radii, degrees), v) <= eps
+    core = _SELECTOR_CORES["A" if selector == "COMBINED" else selector]
+    combined = selector == "COMBINED"
+    screen = eps * (1.0 + _FLOOR_SLACK)
+
+    def feasible(degrees: tuple[int, ...]) -> bool:
+        if combined and _finish(*b_core(radii, degrees), v) <= eps:
+            return True
+        first_sum = _sum_terms([_univ_core(r, n) for r, n in zip(radii, degrees)])
+        if _finish(*first_sum, v) > screen:
+            return False
+        return _finish(*core(radii, degrees), v) <= eps
+
+    return feasible
 
 
 def _certify(request: PlanRequest, budget: NodeBudget) -> float:
@@ -265,13 +318,13 @@ def plan_nodes(request: PlanRequest) -> Plan:
     d = len(radii)
     v = request.v_bound
     eps = request.epsilon_target
-    bnd = _make_evaluator(request.selector, radii, v)
+    feasible = _make_feasible(request.selector, radii, v, eps)
 
     lower = [
         _axis_lower_limit(request.selector, radii, i, v, eps) for i in range(d)
     ]
     m_star = _least(
-        lambda m: bnd((m,) * d) <= eps,
+        lambda m: feasible((m,) * d),
         max(lower),
         f"target {eps} needs more than {MAX_AXIS_ORDER} nodes per axis",
     )
@@ -294,13 +347,13 @@ def plan_nodes(request: PlanRequest) -> Plan:
         top = min(upper[t], best[0] // floor - 1)  # largest n the floor allows
         tail = upper_tail[t + 1]
 
-        def feasible(n: int) -> bool:
-            return bnd(prefix + (n,) + tail) <= eps
+        def certifies(n: int) -> bool:
+            return feasible(prefix + (n,) + tail)
 
-        if top < lower[t] or not feasible(top):
+        if top < lower[t] or not certifies(top):
             return
         # top certifies, so the search need not test it again and cannot raise
-        first = _least(lambda n: n == top or feasible(n), lower[t], "", top)
+        first = _least(lambda n: n == top or certifies(n), lower[t], "", top)
         if t == d - 1:
             best = min(best, (prefix_obj * (first + 1), prefix + (first,)))
             return

@@ -105,6 +105,17 @@ class TestPlan:
         assert code == 2
         assert "--eps" in err
 
+    @pytest.mark.parametrize("selector", ["combined", "all"])
+    def test_subnormal_eps_usage_error(self, capsys, selector):
+        """Below the smallest normal the bounds underflow to 0 and certify anything."""
+        code, out, err = run(
+            capsys, "plan", "--rho", "2,2", "--v", "1", "--eps", "1e-310",
+            "--selector", selector,
+        )
+        assert code == 2
+        assert out == ""
+        assert "smallest normal double 2.2250738585072014e-308" in err
+
     def test_unknown_selector(self, capsys):
         code, _, err = run(
             capsys, "plan", "--rho", "2", "--v", "1", "--eps", "1e-3",

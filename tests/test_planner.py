@@ -1,10 +1,17 @@
 """Tests for the node-budget planner."""
 
+import collections
 import itertools
+import math
+import random
 
 import pytest
 
 from chebbound.bounds import (
+    _TINY,
+    _finish,
+    _sum_terms,
+    _univ_core,
     BoundInputs,
     bound_a,
     bound_b,
@@ -15,6 +22,8 @@ from chebbound.bounds import (
 from chebbound.ellipse import EllipseRadii
 from chebbound.interpolation import NodeBudget
 from chebbound.planner import (
+    _SELECTOR_CORES,
+    _make_feasible,
     PLAN_SELECTORS,
     PlanRequest,
     compare_plans,
@@ -67,13 +76,22 @@ class TestInvertUnivariate:
 
     def test_unreachable_target(self):
         cases = [
-            (1.0 + 1e-9, 5e-324),
+            (1.0 + 1e-9, 1e-300),
             # first met one degree past the cap
             (1.00001, bound_univariate(1.00001, 1_000_001, 1.0)),
         ]
         for rho, eps in cases:
             with pytest.raises(ValueError, match="needs more than 1000000 nodes"):
                 invert_univariate(rho, 1.0, eps)
+
+    def test_subnormal_target_rejected(self):
+        """Bounds below the smallest normal report 0.0, so such targets cannot be met honestly."""
+        for rho, eps in [(2.0, 1e-310), (1.0 + 1e-9, 5e-324)]:
+            with pytest.raises(ValueError, match="smallest normal double 2.2250738585072014e-308"):
+                invert_univariate(rho, 1.0, eps)
+        # the smallest normal itself is a valid target
+        n = invert_univariate(2.0, 1.0, _TINY)
+        assert 4.0 * 2.0**-n <= _TINY < bound_univariate(2.0, n - 1, 1.0)
 
 
 class TestPlanNodes:
@@ -213,6 +231,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="target"):
             PlanRequest(EllipseRadii((2.0,)), 1.0, 0.0, "A")
 
+    def test_subnormal_target(self):
+        with pytest.raises(ValueError, match="smallest normal double 2.2250738585072014e-308"):
+            PlanRequest(EllipseRadii((2.0, 2.0)), 1.0, 1e-310, "COMBINED")
+        plan = plan_nodes(PlanRequest(EllipseRadii((2.0, 2.0)), 1.0, _TINY, "COMBINED"))
+        assert plan.certified_bound <= _TINY
+        for axis in range(2):
+            lowered = list(plan.budget.degrees)
+            lowered[axis] -= 1
+            assert selector_value("COMBINED", (2.0, 2.0), lowered, 1.0) > _TINY
+
     def test_nonpositive_v(self):
         with pytest.raises(ValueError, match="magnitude"):
             PlanRequest(EllipseRadii((2.0,)), 0.0, 1e-3, "A")
@@ -231,3 +259,83 @@ class TestValidation:
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="dimension"):
             PlanRequest(EllipseRadii((2.0,) * 13), 1.0, 1e-3, "B")
+
+
+def unscreened_bound(selector, radii, degrees, v):
+    """The selected bound through its cores alone, COMBINED as min(A, B)."""
+    keys = ("A", "B") if selector == "COMBINED" else (selector,)
+    return min(_finish(*_SELECTOR_CORES[key](radii, degrees), v) for key in keys)
+
+
+class TestFeasibility:
+    #: the six d=4 problems of the benchmark's plan workload
+    D4 = (
+        ((2.39, 3.06, 3.64, 4.91), 1e-4),
+        ((4.14, 2.43, 4.07, 2.67), 2e-5),
+        ((2.15, 1.85, 1.98, 4.71), 1e-7),
+        ((1.95, 2.0, 2.03, 1.89), 2e-8),
+        ((2.67, 3.07, 1.73, 3.47), 8e-10),
+        ((4.01, 1.84, 3.69, 2.34), 1e-12),
+    )
+
+    @staticmethod
+    def count_core_calls(monkeypatch):
+        counts = collections.Counter()
+        for key, core in dict(_SELECTOR_CORES).items():
+
+            def counted(radii, degrees, key=key, core=core):
+                counts[key] += 1
+                return core(radii, degrees)
+
+            monkeypatch.setitem(_SELECTOR_CORES, key, counted)
+        return counts
+
+    def test_matches_unscreened_decision(self, monkeypatch):
+        """B first and the first-sum screen never change a decision, on either summation path."""
+        rng = random.Random(20261019)
+        counts = self.count_core_calls(monkeypatch)
+        searched = decided = 0
+        for d, cases in ((1, 12), (2, 12), (3, 10), (4, 8), (5, 4), (6, 3)):
+            for _ in range(cases):
+                radii = tuple(math.exp(rng.uniform(math.log(1.05), math.log(6.0))) for _ in range(d))
+                # about half the degrees put their tail past the direct-sum threshold
+                degrees = tuple(
+                    rng.randint(0, 60) if rng.random() < 0.5 else int(rng.uniform(600.0, 760.0) / math.log(r))
+                    for r in radii
+                )
+                # V in [1e-3, 1e300]; half the draws below 10
+                v = 10.0 ** rng.choice((rng.uniform(-3.0, 1.0), rng.uniform(1.0, 300.0)))
+                first_sum = _finish(*_sum_terms([_univ_core(r, n) for r, n in zip(radii, degrees)]), v)
+                for selector in ("A", "COMBINED", "RECURSIVE"):
+                    bound = unscreened_bound(selector, radii, degrees, v)
+                    targets = {
+                        bound,
+                        math.nextafter(bound, 0.0),
+                        first_sum,
+                        math.nextafter(first_sum, 0.0),
+                        first_sum * (1.0 + 1e-10),
+                        first_sum * 0.5,
+                        10.0 ** rng.uniform(-308.0, 1.0),
+                    }
+                    for eps in sorted(min(max(t, _TINY), 10.0) for t in targets):
+                        before = counts["A"] + counts["RECURSIVE"]
+                        got = _make_feasible(selector, radii, v, eps)(degrees)
+                        searched += counts["A"] + counts["RECURSIVE"] > before
+                        decided += 1
+                        assert got == (bound <= eps), (selector, radii, degrees, v, eps)
+        # both the screens and the order search decided some of the tests
+        assert 0 < searched < decided
+
+    def test_order_searches_on_d4_problems(self, monkeypatch):
+        """Deterministic core-call counts: B settles passing tests, the first sum failing ones."""
+        counts = self.count_core_calls(monkeypatch)
+        totals = {}
+        for selector in ("COMBINED", "RECURSIVE"):
+            counts.clear()
+            for rho, eps in self.D4:
+                plan_nodes(PlanRequest(EllipseRadii(rho), 1.0, eps, selector))
+            totals[selector] = dict(counts)
+        assert totals == {
+            "COMBINED": {"A": 2267, "B": 3077},
+            "RECURSIVE": {"RECURSIVE": 275},
+        }
