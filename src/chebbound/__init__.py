@@ -5,11 +5,18 @@ Chebyshev grids, bound the sup-norm error from per-axis analyticity radii
 alone, take the pointwise minimum of two complementary bounds, and search
 for the cheapest node budget that certifies a requested accuracy.
 
-The bounds, the A-vs-B crossover scan, the planner and their value types
-load eagerly and need only the standard library.  The numpy-backed names
-(interpolation, ellipse geometry, verification) load on first access
-(PEP 562), so importing the package for a bound, a plan or a scan never
-imports numpy.
+The bounds, the A-vs-B crossover scan and their value types load eagerly
+and need only the standard library.  The other names load on first access
+(PEP 562): the planner, which is standard-library code too, and the
+numpy-backed interpolation, ellipse geometry and verification.  So
+``chebbound bound`` and ``chebbound sweep`` load neither the planner nor
+numpy, ``chebbound plan`` adds the planner alone, and ``chebbound interp``
+and ``chebbound verify`` load numpy but not the planner.
+
+Every value type is a :class:`chebbound.inputs.Record`: immutable, compared
+and hashed by value, with ``_asdict()`` for its fields in order.  They are
+not dataclasses, so ``dataclasses.asdict``, ``replace`` and ``fields`` do
+not apply to them.
 """
 
 import importlib
@@ -30,15 +37,6 @@ from .bounds import (
     recursive_bound_B_min,
 )
 from .inputs import EllipseRadii, NodeBudget
-from .planner import (
-    PLAN_SELECTORS,
-    Plan,
-    PlanComparison,
-    PlanRequest,
-    compare_plans,
-    invert_univariate,
-    plan_nodes,
-)
 
 __version__ = "0.1.0"
 
@@ -105,8 +103,20 @@ __all__ = [
     "reference_report",
 ]
 
-#: numpy-backed public names and the submodule each one loads from
+#: lazily loaded public names and the submodule each one loads from
 _LAZY = {
+    **dict.fromkeys(
+        (
+            "PLAN_SELECTORS",
+            "PlanRequest",
+            "Plan",
+            "PlanComparison",
+            "invert_univariate",
+            "plan_nodes",
+            "compare_plans",
+        ),
+        "planner",
+    ),
     **dict.fromkeys(
         (
             "Hyperrectangle",

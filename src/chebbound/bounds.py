@@ -42,11 +42,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from . import jsonio
-from .inputs import EllipseRadii, NodeBudget
+from .inputs import EllipseRadii, NodeBudget, Record
 
 __all__ = [
     "BoundInputs",
@@ -85,22 +84,19 @@ _POWER_LOG = -690.0
 _DIRECT_LOG = -667.0
 
 
-@dataclass(frozen=True)
-class BoundInputs:
+class BoundInputs(Record):
     """Radii, node budget and magnitude bound feeding every bound formula."""
 
-    radii: EllipseRadii
-    budget: NodeBudget
-    v_bound: float
+    __slots__ = ("radii", "budget", "v_bound")
 
-    def __post_init__(self) -> None:
-        if self.radii.dimension != self.budget.dimension:
-            raise ValueError(
-                f"{self.radii.dimension} radii vs {self.budget.dimension} degrees"
-            )
-        v = float(self.v_bound)
+    def __init__(self, radii: EllipseRadii, budget: NodeBudget, v_bound: float) -> None:
+        if radii.dimension != budget.dimension:
+            raise ValueError(f"{radii.dimension} radii vs {budget.dimension} degrees")
+        v = float(v_bound)
         if not math.isfinite(v) or v < 0:
             raise ValueError(f"magnitude bound must be finite and >= 0, got {v}")
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "budget", budget)
         object.__setattr__(self, "v_bound", v)
 
     @property
@@ -108,8 +104,7 @@ class BoundInputs:
         return self.radii.dimension
 
 
-@dataclass(frozen=True)
-class MParams:
+class MParams(Record):
     """Tuning for the partial-interpolant magnitude bound.
 
     ``epsilon`` trades a slightly larger evaluation ellipse (radius factor
@@ -117,28 +112,56 @@ class MParams:
     original ellipse itself.
     """
 
-    epsilon: float = 0.0
+    __slots__ = ("epsilon",)
 
-    def __post_init__(self) -> None:
-        eps = float(self.epsilon)
+    def __init__(self, epsilon: float = 0.0) -> None:
+        eps = float(epsilon)
         if not math.isfinite(eps) or eps < 0:
             raise ValueError(f"epsilon must be finite and >= 0, got {eps}")
         object.__setattr__(self, "epsilon", eps)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Everything :func:`bound_combined` knows about one input."""
+class BoundReport(Record):
+    """Everything :func:`bound_combined` knows about one input.
 
-    inputs: BoundInputs
-    a_value: float
-    b_value: float
-    combined: float
-    winner: str  # "A" | "B" | "TIE"
-    sigma_star: tuple[int, ...]  # best peeling order, 0-based axis ids
-    sigma_search: str  # "EXHAUSTIVE" | "HEURISTIC"
-    variant: str
-    underflow: tuple[str, ...] = field(default=())
+    ``winner`` is "A", "B" or "TIE"; ``sigma_star`` is the best peeling
+    order as 0-based axis ids, and ``sigma_search`` says how it was found:
+    "EXHAUSTIVE" or "HEURISTIC".
+    """
+
+    __slots__ = (
+        "inputs",
+        "a_value",
+        "b_value",
+        "combined",
+        "winner",
+        "sigma_star",
+        "sigma_search",
+        "variant",
+        "underflow",
+    )
+
+    def __init__(
+        self,
+        inputs: BoundInputs,
+        a_value: float,
+        b_value: float,
+        combined: float,
+        winner: str,
+        sigma_star: tuple[int, ...],
+        sigma_search: str,
+        variant: str,
+        underflow: tuple[str, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "a_value", a_value)
+        object.__setattr__(self, "b_value", b_value)
+        object.__setattr__(self, "combined", combined)
+        object.__setattr__(self, "winner", winner)
+        object.__setattr__(self, "sigma_star", sigma_star)
+        object.__setattr__(self, "sigma_search", sigma_search)
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "underflow", underflow)
 
     def to_json_dict(self) -> dict:
         return {
@@ -602,14 +625,19 @@ def recursive_bound_B_min(
 # A-vs-B crossover scan
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    """One point of the equal-radii A-vs-B scan."""
+class ScanRecord(Record):
+    """One point of the equal-radii A-vs-B scan.
 
-    rho: float
-    a: float
-    b: float
-    winner: str  # "A" | "B" | "TIE" | "CROSSOVER" (the bisected final record)
+    ``winner`` is "A", "B", "TIE", or "CROSSOVER" for a bisected final record.
+    """
+
+    __slots__ = ("rho", "a", "b", "winner")
+
+    def __init__(self, rho: float, a: float, b: float, winner: str) -> None:
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "winner", winner)
 
 
 def _scan_point(rho: float, n: int, d: int, v: float) -> tuple[float, float]:
@@ -681,7 +709,7 @@ SCAN_CSV_HEADER = "rho,a,b,winner"
 
 def scan_to_csv(records: Sequence[ScanRecord]) -> str:
     """Figure-style sweep data: columns rho, a, b, winner."""
-    return jsonio.csv_text(SCAN_CSV_HEADER.split(","), [asdict(r) for r in records])
+    return jsonio.csv_text(SCAN_CSV_HEADER.split(","), [r._asdict() for r in records])
 
 
 #: published values of bounds a and b for the worked inputs, keyed by

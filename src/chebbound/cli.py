@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import re
 import sys
@@ -29,10 +28,11 @@ from .bounds import (
     scan_to_csv,
 )
 from .inputs import EllipseRadii, NodeBudget
-from .planner import PLAN_SELECTORS, PlanRequest, compare_plans, plan_nodes
 
-# numpy and the numeric modules load inside the interp and verify
-# handlers, so `bound`, `plan` and `sweep` start on the standard library alone
+# the planner loads inside the plan handler, and numpy and the numeric
+# modules inside the interp and verify handlers, so `bound`, `plan` and
+# `sweep` start on the standard library alone and only `plan` pays for the
+# planner
 
 __all__ = ["main"]
 
@@ -171,6 +171,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    from .planner import PLAN_SELECTORS, PlanRequest, compare_plans, plan_nodes
+
     _check_rho(args.rho)
     if not (math.isfinite(args.v) and args.v > 0):
         raise CliUsageError(f"--v: magnitude bound must be positive, got {args.v}")
@@ -353,7 +355,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     crossings = [r.rho for r in records if r.winner == "CROSSOVER"]
     table = [("scan points", len(records) - len(crossings)), ("crossings", len(crossings))]
     table += [(f"crossover {i + 1}", rho) for i, rho in enumerate(crossings)]
-    _emit(args.format, [dataclasses.asdict(r) for r in records], table, csv)
+    _emit(args.format, [r._asdict() for r in records], table, csv)
     return 0
 
 

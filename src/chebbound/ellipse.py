@@ -12,13 +12,12 @@ is what :func:`estimate_V` scans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .inputs import MIN_RADIUS, EllipseRadii
+from .inputs import MIN_RADIUS, EllipseRadii, Record
 from .interpolation import Hyperrectangle
 
 __all__ = [
@@ -41,19 +40,18 @@ _CONTAINS_SLACK = 1e-12
 _SCAN_BLOCK = 2**16
 
 
-@dataclass(frozen=True)
-class GeneralizedBernsteinEllipse:
+class GeneralizedBernsteinEllipse(Record):
     """Product of per-axis Bernstein ellipses attached to a hyperrectangle."""
 
-    domain: Hyperrectangle
-    radii: EllipseRadii
+    __slots__ = ("domain", "radii")
 
-    def __post_init__(self) -> None:
-        if self.domain.dimension != self.radii.dimension:
+    def __init__(self, domain: Hyperrectangle, radii: EllipseRadii) -> None:
+        if domain.dimension != radii.dimension:
             raise ValueError(
-                f"domain has {self.domain.dimension} axes but "
-                f"{self.radii.dimension} radii were given"
+                f"domain has {domain.dimension} axes but {radii.dimension} radii were given"
             )
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "radii", radii)
 
     @property
     def dimension(self) -> int:
@@ -162,8 +160,11 @@ def estimate_V(
     maximum by the 1.01 safety factor.  By the iterated maximum-modulus
     principle the torus maximum equals the region maximum for analytic f.
 
-    Raises if any sampled value is non-finite, which signals a singularity
-    inside the scanned region (the ellipse is too large for this f).
+    Raises if any sampled value is non-finite, which signals that f
+    overflows or reaches a singularity inside the scanned region (the
+    ellipse is too large for this f).  f is evaluated with numpy's
+    overflow, divide and invalid warnings silenced, so that error is the
+    only report.
     """
     resolution = int(resolution)
     if resolution < 8:
@@ -178,11 +179,12 @@ def estimate_V(
     for start in range(0, total, _SCAN_BLOCK):
         index = np.unravel_index(np.arange(start, min(start + _SCAN_BLOCK, total)), shape)
         pts = np.stack([c[i] for c, i in zip(curves, index)], axis=-1)
-        vals = np.abs(np.asarray(f(pts)))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            vals = np.abs(np.asarray(f(pts)))
         if not np.all(np.isfinite(vals)):
             raise ValueError(
-                "non-finite value on the ellipse boundary: the region reaches "
-                "a singularity of f (reduce the radii)"
+                "non-finite value on the ellipse boundary: f overflows or reaches "
+                "a singularity in the region (reduce the radii)"
             )
         best = max(best, float(vals.max()))
     return V_SAFETY * best

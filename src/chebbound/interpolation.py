@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -27,7 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import jsonio
-from .inputs import NodeBudget
+from .inputs import NodeBudget, Record
 
 __all__ = [
     "Hyperrectangle",
@@ -55,14 +54,13 @@ COEFFICIENT_LAYOUT = "lex-last-fastest"
 _EVAL_BLOCK = 2**20
 
 
-@dataclass(frozen=True)
-class Hyperrectangle:
+class Hyperrectangle(Record):
     """Axis-aligned box ``prod_i [lo_i, hi_i]`` with strictly positive widths."""
 
-    axes: tuple[tuple[float, float], ...]
+    __slots__ = ("axes",)
 
-    def __post_init__(self) -> None:
-        axes = tuple((float(lo), float(hi)) for lo, hi in self.axes)
+    def __init__(self, axes: tuple[tuple[float, float], ...]) -> None:
+        axes = tuple((float(lo), float(hi)) for lo, hi in axes)
         if not axes:
             raise ValueError("hyperrectangle needs at least one axis")
         for i, (lo, hi) in enumerate(axes):
@@ -273,26 +271,33 @@ def _compute_coefficients_dct(samples: NDArray[np.float64]) -> NDArray[np.float6
     return np.ascontiguousarray(coeffs)
 
 
-@dataclass(frozen=True, eq=False)
-class ChebyshevInterpolant:
-    """Immutable interpolant ``sum_j c_j T_j`` on a hyperrectangle."""
+class ChebyshevInterpolant(Record):
+    """Immutable interpolant ``sum_j c_j T_j`` on a hyperrectangle.
 
-    domain: Hyperrectangle
-    budget: NodeBudget
-    coefficients: NDArray[np.float64]
+    Equality and hash are by identity: the coefficients are an array.
+    """
 
-    def __post_init__(self) -> None:
-        if self.domain.dimension != self.budget.dimension:
+    __slots__ = ("domain", "budget", "coefficients")
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self, domain: Hyperrectangle, budget: NodeBudget, coefficients: NDArray[np.float64]
+    ) -> None:
+        if domain.dimension != budget.dimension:
             raise ValueError("domain and budget dimensions differ")
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        if coeffs.shape != self.budget.grid_shape:
+        coeffs = np.asarray(coefficients, dtype=float)
+        if coeffs.shape != budget.grid_shape:
             raise ValueError(
-                f"coefficient shape {coeffs.shape} != grid shape {self.budget.grid_shape}"
+                f"coefficient shape {coeffs.shape} != grid shape {budget.grid_shape}"
             )
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
         coeffs = coeffs.copy()
         coeffs.flags.writeable = False
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "budget", budget)
         object.__setattr__(self, "coefficients", coeffs)
 
     def __call__(self, x):

@@ -42,7 +42,6 @@ certifies the target but need not be the smallest such budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import jsonio
 from .bounds import (
@@ -61,7 +60,7 @@ from .bounds import (
     bound_univariate,
     recursive_bound_B_min,
 )
-from .inputs import EllipseRadii, NodeBudget
+from .inputs import EllipseRadii, NodeBudget, Record
 
 __all__ = [
     "PlanRequest",
@@ -104,46 +103,52 @@ def _check_target(eps: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class PlanRequest:
+class PlanRequest(Record):
     """What to certify: radii, magnitude bound, target, and which bound."""
 
-    radii: EllipseRadii
-    v_bound: float
-    epsilon_target: float
-    selector: str = "COMBINED"
+    __slots__ = ("radii", "v_bound", "epsilon_target", "selector")
 
-    def __post_init__(self) -> None:
-        v = float(self.v_bound)
+    def __init__(
+        self,
+        radii: EllipseRadii,
+        v_bound: float,
+        epsilon_target: float,
+        selector: str = "COMBINED",
+    ) -> None:
+        v = float(v_bound)
         if not math.isfinite(v) or v <= 0:
             raise ValueError(f"magnitude bound must be finite and > 0, got {v}")
-        eps = float(self.epsilon_target)
+        eps = float(epsilon_target)
         _check_target(eps)
-        if self.selector not in PLAN_SELECTORS:
-            raise ValueError(
-                f"selector must be one of {PLAN_SELECTORS}, got {self.selector!r}"
-            )
-        if self.radii.dimension > _MAX_PLAN_DIMENSION:
+        if selector not in PLAN_SELECTORS:
+            raise ValueError(f"selector must be one of {PLAN_SELECTORS}, got {selector!r}")
+        if radii.dimension > _MAX_PLAN_DIMENSION:
             raise ValueError(
                 f"planning supports up to {_MAX_PLAN_DIMENSION} dimensions, "
-                f"got {self.radii.dimension}"
+                f"got {radii.dimension}"
             )
+        object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "v_bound", v)
         object.__setattr__(self, "epsilon_target", eps)
+        object.__setattr__(self, "selector", selector)
 
     @property
     def dimension(self) -> int:
         return self.radii.dimension
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(Record):
     """A certified budget: the bound value is re-checked, not assumed."""
 
-    request: PlanRequest
-    budget: NodeBudget
-    grid_points: int
-    certified_bound: float
+    __slots__ = ("request", "budget", "grid_points", "certified_bound")
+
+    def __init__(
+        self, request: PlanRequest, budget: NodeBudget, grid_points: int, certified_bound: float
+    ) -> None:
+        object.__setattr__(self, "request", request)
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "grid_points", grid_points)
+        object.__setattr__(self, "certified_bound", certified_bound)
 
     def to_json_dict(self) -> dict:
         return {
@@ -160,12 +165,17 @@ class Plan:
         return jsonio.dumps(self.to_json_dict())
 
 
-@dataclass(frozen=True)
-class PlanComparison:
-    """Plans for every selector on the same request, plus size ratios."""
+class PlanComparison(Record):
+    """Plans for every selector on the same request, plus size ratios.
 
-    plans: dict[str, Plan]
-    savings_vs_b: dict[str, float]  # 1 - grid/grid(B); positive means fewer points
+    ``savings_vs_b`` is ``1 - grid / grid(B)``; positive means fewer points.
+    """
+
+    __slots__ = ("plans", "savings_vs_b")
+
+    def __init__(self, plans: dict[str, Plan], savings_vs_b: dict[str, float]) -> None:
+        object.__setattr__(self, "plans", plans)
+        object.__setattr__(self, "savings_vs_b", savings_vs_b)
 
     def to_json_dict(self) -> dict:
         return {

@@ -14,7 +14,6 @@ use a hard-coded seed, and boundary scans use uniform angle grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial, reduce
 from typing import Callable, Sequence
 
@@ -39,6 +38,7 @@ from .ellipse import (
     estimate_V,
     rho_for_real_singularity,
 )
+from .inputs import Record
 from .interpolation import (
     ChebyshevInterpolant,
     Hyperrectangle,
@@ -47,7 +47,6 @@ from .interpolation import (
     evaluate_grid,
     interpolate,
 )
-from .planner import PlanRequest, plan_nodes
 
 __all__ = [
     "TestFunction",
@@ -87,24 +86,53 @@ DEFAULT_PROBE_RESOLUTION = {1: 513, 2: 129, 3: 65}
 #: hits exactly, so modest grids suffice (the 1.01 safety covers the rest)
 DEFAULT_V_RESOLUTION = {1: 512, 2: 128, 3: 32}
 
-#: probe points per slab in :func:`sup_error`; caps its working memory
+#: probe points per slab in :func:`sup_error`; caps its working memory.
+#: The last bits of a measured error can follow the slab shape, because
+#: ``evaluate_grid`` contracts each slab through BLAS, so the pinned
+#: ``chebbound verify`` bytes follow this block size and the host's BLAS.
 _PROBE_BLOCK = 2**15
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """An analytic test function with a provable admissible radius per axis."""
+class TestFunction(Record):
+    """An analytic test function with a provable admissible radius per axis.
 
-    id: str
-    domain: Hyperrectangle
-    evaluator: Callable[[NDArray], NDArray]
-    admissible_rho: tuple[float, ...]  # math.inf for entire functions
-    family: str
-    description: str
-    exact_degrees: tuple[int, ...] | None = None  # polynomials only
-    #: per-axis real factors whose product is ``evaluator`` (separable families);
-    #: replacing ``evaluator`` alone leaves them describing the old function
-    factors: tuple[Callable[[NDArray], NDArray], ...] | None = None
+    ``admissible_rho`` is ``math.inf`` on the axes where f is entire, and
+    ``exact_degrees`` is set for polynomials only.  ``factors`` holds, for
+    separable families, the per-axis real factors whose product is
+    ``evaluator``; a copy built with another ``evaluator`` alone would keep
+    them describing the old function.
+    """
+
+    __slots__ = (
+        "id",
+        "domain",
+        "evaluator",
+        "admissible_rho",
+        "family",
+        "description",
+        "exact_degrees",
+        "factors",
+    )
+
+    def __init__(
+        self,
+        id: str,
+        domain: Hyperrectangle,
+        evaluator: Callable[[NDArray], NDArray],
+        admissible_rho: tuple[float, ...],
+        family: str,
+        description: str,
+        exact_degrees: tuple[int, ...] | None = None,
+        factors: tuple[Callable[[NDArray], NDArray], ...] | None = None,
+    ) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "evaluator", evaluator)
+        object.__setattr__(self, "admissible_rho", admissible_rho)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "exact_degrees", exact_degrees)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def dimension(self) -> int:
@@ -126,23 +154,48 @@ class TestFunction:
         return np.asarray(reduce(np.multiply.outer, values), dtype=float)
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(Record):
     """One (function, radii, budget) domination measurement."""
 
-    function_id: str
-    domain: Hyperrectangle
-    radii: tuple[float, ...]
-    v_estimate: float
-    budget: tuple[int, ...]
-    empirical_error: float
-    bound_a: float
-    bound_b: float
-    bound_combined: float
-    passed: bool
+    __slots__ = (
+        "function_id",
+        "domain",
+        "radii",
+        "v_estimate",
+        "budget",
+        "empirical_error",
+        "bound_a",
+        "bound_b",
+        "bound_combined",
+        "passed",
+    )
+
+    def __init__(
+        self,
+        function_id: str,
+        domain: Hyperrectangle,
+        radii: tuple[float, ...],
+        v_estimate: float,
+        budget: tuple[int, ...],
+        empirical_error: float,
+        bound_a: float,
+        bound_b: float,
+        bound_combined: float,
+        passed: bool,
+    ) -> None:
+        object.__setattr__(self, "function_id", function_id)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "v_estimate", v_estimate)
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "empirical_error", empirical_error)
+        object.__setattr__(self, "bound_a", bound_a)
+        object.__setattr__(self, "bound_b", bound_b)
+        object.__setattr__(self, "bound_combined", bound_combined)
+        object.__setattr__(self, "passed", passed)
 
     def to_json_dict(self) -> dict:
-        return dict(vars(self), domain=[list(ax) for ax in self.domain.axes])
+        return dict(self._asdict(), domain=[list(ax) for ax in self.domain.axes])
 
 
 # ---------------------------------------------------------------------------
@@ -633,6 +686,9 @@ def reference_report() -> list[dict]:
         case = f"rho=({','.join(map(str, rho))}) n=({','.join(map(str, n))}) v={v:g}"
         row(f"bound-b {case}", published["b"], bound_b(inputs))
         row(f"bound-a {case}", published["a"], bound_a(inputs)[0])
+
+    # imported here alone, so that `chebbound verify` starts without the planner
+    from .planner import PlanRequest, plan_nodes
 
     radii = EllipseRadii((2.95, 9.8))
     plan_b = plan_nodes(PlanRequest(radii, 1.0, 2e-4, "B"))

@@ -22,6 +22,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_python(*args):
+    """A fresh interpreter with this checkout's sources first on the path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 class TestBound:
     def test_univariate_reference(self, capsys):
         code, out, _ = run(capsys, "bound", "--rho", "2", "--n", "10", "--v", "1")
@@ -232,6 +244,17 @@ class TestInterp:
         assert code == 2
         assert "--probe" in err
 
+    def test_overflow_on_the_ellipse_is_one_error_line(self):
+        """exp is entire but overflows on a huge ellipse: one error, no numpy warning."""
+        result = run_python(
+            "-m", "chebbound.cli", "interp", "--function", "exp-d1", "--n", "5",
+            "--probe=0.5", "--rho", "2000",
+        )
+        assert result.returncode == 2
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: ")
+        assert "overflows" in line
+
 
 class TestVerify:
     def test_quick_suite_passes(self, capsys):
@@ -310,41 +333,49 @@ class TestEnvironment:
 
 
 class TestStartup:
-    """`bound`, `plan` and `sweep` run on the standard library; numpy loads only when needed."""
+    """Each subcommand loads only what it needs.
+
+    `bound`, `plan` and `sweep` run on the standard library, only `plan`
+    loads the planner, and nothing loads `dataclasses`.
+    """
+
+    #: the modules whose loading the cases pin
+    WATCHED = ("chebbound.planner", "dataclasses", "numpy")
 
     @pytest.mark.parametrize(
-        "statement, loads_numpy",
+        "statement, loads",
         [
-            ("import chebbound", False),
-            ("import chebbound.cli", False),
+            ("import chebbound", []),
+            ("import chebbound.cli", []),
             (
                 "from chebbound.cli import main; assert main(['bound', '--rho', "
                 "'2,2,2,2,2,2', '--n', '5,5,5,5,5,5', '--v', '1']) == 0",
-                False,
+                [],
             ),
             (
                 "from chebbound.cli import main; assert main(['plan', '--rho', "
                 "'2.95,9.8', '--v', '1', '--eps', '2e-4', '--selector', 'all']) == 0",
-                False,
+                ["chebbound.planner"],
             ),
-            ("from chebbound.cli import main; assert main(['sweep', '--steps', '3']) == 0", False),
+            ("from chebbound.cli import main; assert main(['sweep', '--steps', '3']) == 0", []),
             (
                 "from chebbound.cli import main; assert main(['interp', '--function', "
                 "'poly-cubic-d2', '--n', '3,3', '--probe', '0.3,-0.4']) == 0",
-                True,
+                ["numpy"],
+            ),
+            (
+                "from chebbound.cli import main; assert main(['verify', '--suite', 'quick']) == 0",
+                ["numpy"],
             ),
         ],
-        ids=["import", "import-cli", "bound", "plan", "sweep", "interp"],
+        ids=["import", "import-cli", "bound", "plan", "sweep", "interp", "verify"],
     )
-    def test_numpy_loaded_only_when_needed(self, statement, loads_numpy):
-        script = f"{statement}\nimport sys\nprint('numpy' in sys.modules, file=sys.stderr)"
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-            timeout=120,
+    def test_numpy_loaded_only_when_needed(self, statement, loads):
+        """numpy, and likewise the planner and `dataclasses`, load only where listed."""
+        script = (
+            f"{statement}\nimport sys\n"
+            f"print([m for m in {self.WATCHED!r} if m in sys.modules], file=sys.stderr)"
         )
+        result = run_python("-c", script)
         assert result.returncode == 0, result.stderr
-        assert result.stderr.splitlines()[-1] == str(loads_numpy)
+        assert result.stderr.splitlines()[-1] == str(loads)

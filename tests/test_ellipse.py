@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,14 @@ class TestEstimateV:
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="singularity"):
                 estimate_V(lambda z: 1.0 / (1.25 - z[..., 0]), ell)
+
+    def test_overflow_raises_without_a_warning(self):
+        """exp is entire, but at rho=2000 it overflows on the boundary: one ValueError."""
+        ell = GeneralizedBernsteinEllipse(Hyperrectangle.unit(1), EllipseRadii((2000.0,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                estimate_V(lambda z: np.exp(z[..., 0]), ell)
 
     def test_blocks_match_whole_torus_scan(self, monkeypatch):
         """Blocking the torus index changes nothing: V equals one whole-torus scan."""

@@ -1,4 +1,4 @@
-"""The package namespace: eager bound and planner names, lazily loaded numeric ones."""
+"""The package namespace: eager bound names, lazily loaded planner and numeric ones."""
 
 import importlib
 
