@@ -14,12 +14,14 @@ numpy, ``chebbound plan`` adds the planner alone, and ``chebbound interp``
 and ``chebbound verify`` load numpy but not the planner.
 
 Every value type is a :class:`chebbound.inputs.Record`: immutable, compared
-and hashed by value, with ``_asdict()`` for its fields in order.  They are
-not dataclasses, so ``dataclasses.asdict``, ``replace`` and ``fields`` do
-not apply to them.
+and hashed by value, with ``_asdict()`` for its fields in order.  Each
+names its fields once, in ``__slots__``, and a type without validation gets
+its constructor generated from them.  They are not dataclasses, so
+``dataclasses.asdict``, ``replace`` and ``fields`` do not apply to them.
 """
 
 import importlib
+import types
 
 from .bounds import (
     BoundInputs,
@@ -40,131 +42,71 @@ from .inputs import EllipseRadii, NodeBudget
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # interpolation
-    "Hyperrectangle",
-    "NodeBudget",
-    "ChebyshevInterpolant",
-    "chebyshev_T",
-    "univariate_nodes",
-    "grid_points",
-    "sample_on_grid",
-    "compute_coefficients",
-    "interpolate",
-    "evaluate",
-    "evaluate_grid",
-    "alias_index",
-    # ellipse
-    "EllipseRadii",
-    "GeneralizedBernsteinEllipse",
-    "joukowski",
-    "ellipse_boundary_point",
-    "transform_tau",
-    "contains",
-    "rho_for_real_singularity",
-    "estimate_V",
-    # bounds
-    "BoundInputs",
-    "BoundReport",
-    "MParams",
-    "bound_univariate",
-    "bound_b",
-    "bound_a_for_sigma",
-    "bound_a",
-    "bound_combined",
-    "m_upper_bound",
-    "recursive_bound_B",
-    "recursive_bound_B_min",
-    # planner
-    "PLAN_SELECTORS",
-    "PlanRequest",
-    "Plan",
-    "PlanComparison",
-    "invert_univariate",
-    "plan_nodes",
-    "compare_plans",
-    # verification
-    "TestFunction",
-    "VerificationRecord",
-    "ScanRecord",
-    "separable_rational",
-    "entire_exponential",
-    "nonseparable_rational",
-    "polynomial_product",
-    "builtin_families",
-    "builtin_function",
-    "sup_error",
-    "verify_domination",
-    "default_suite",
-    "quick_suite",
-    "coefficient_decay_check",
-    "crossover_scan",
-    "reference_report",
-]
-
-#: lazily loaded public names and the submodule each one loads from
-_LAZY = {
-    **dict.fromkeys(
-        (
-            "PLAN_SELECTORS",
-            "PlanRequest",
-            "Plan",
-            "PlanComparison",
-            "invert_univariate",
-            "plan_nodes",
-            "compare_plans",
-        ),
-        "planner",
+#: lazily loaded public names, by the submodule each one loads from; with
+#: the eager imports above, the one list of public names
+_SUBMODULE_NAMES = {
+    "interpolation": (
+        "Hyperrectangle",
+        "ChebyshevInterpolant",
+        "chebyshev_T",
+        "univariate_nodes",
+        "grid_points",
+        "sample_on_grid",
+        "compute_coefficients",
+        "interpolate",
+        "evaluate",
+        "evaluate_grid",
+        "alias_index",
     ),
-    **dict.fromkeys(
-        (
-            "Hyperrectangle",
-            "ChebyshevInterpolant",
-            "chebyshev_T",
-            "univariate_nodes",
-            "grid_points",
-            "sample_on_grid",
-            "compute_coefficients",
-            "interpolate",
-            "evaluate",
-            "evaluate_grid",
-            "alias_index",
-        ),
-        "interpolation",
+    "ellipse": (
+        "GeneralizedBernsteinEllipse",
+        "joukowski",
+        "ellipse_boundary_point",
+        "transform_tau",
+        "contains",
+        "rho_for_real_singularity",
+        "estimate_V",
     ),
-    **dict.fromkeys(
-        (
-            "GeneralizedBernsteinEllipse",
-            "joukowski",
-            "ellipse_boundary_point",
-            "transform_tau",
-            "contains",
-            "rho_for_real_singularity",
-            "estimate_V",
-        ),
-        "ellipse",
+    "planner": (
+        "PLAN_SELECTORS",
+        "PlanRequest",
+        "Plan",
+        "PlanComparison",
+        "invert_univariate",
+        "plan_nodes",
+        "compare_plans",
     ),
-    **dict.fromkeys(
-        (
-            "TestFunction",
-            "VerificationRecord",
-            "separable_rational",
-            "entire_exponential",
-            "nonseparable_rational",
-            "polynomial_product",
-            "builtin_families",
-            "builtin_function",
-            "sup_error",
-            "verify_domination",
-            "default_suite",
-            "quick_suite",
-            "coefficient_decay_check",
-            "reference_report",
-        ),
-        "verification",
+    "verification": (
+        "TestFunction",
+        "VerificationRecord",
+        "separable_rational",
+        "entire_exponential",
+        "nonseparable_rational",
+        "polynomial_product",
+        "builtin_families",
+        "builtin_function",
+        "sup_error",
+        "verify_domination",
+        "default_suite",
+        "quick_suite",
+        "coefficient_decay_check",
+        "reference_report",
     ),
 }
+
+#: lazily loaded public name -> the submodule it loads from
+_LAZY = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
+
+#: the eagerly bound names imported above, then the lazily loaded ones
+__all__ = [
+    "__version__",
+    *(
+        name
+        for name, value in globals().items()
+        if not (name.startswith("_") or isinstance(value, types.ModuleType))
+    ),
+    *_LAZY,
+]
 
 
 def __getattr__(name: str):

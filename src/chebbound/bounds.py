@@ -95,9 +95,7 @@ class BoundInputs(Record):
         v = float(v_bound)
         if not math.isfinite(v) or v < 0:
             raise ValueError(f"magnitude bound must be finite and >= 0, got {v}")
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "budget", budget)
-        object.__setattr__(self, "v_bound", v)
+        self._init(radii, budget, v)
 
     @property
     def dimension(self) -> int:
@@ -118,7 +116,7 @@ class MParams(Record):
         eps = float(epsilon)
         if not math.isfinite(eps) or eps < 0:
             raise ValueError(f"epsilon must be finite and >= 0, got {eps}")
-        object.__setattr__(self, "epsilon", eps)
+        self._init(eps)
 
 
 class BoundReport(Record):
@@ -140,28 +138,7 @@ class BoundReport(Record):
         "variant",
         "underflow",
     )
-
-    def __init__(
-        self,
-        inputs: BoundInputs,
-        a_value: float,
-        b_value: float,
-        combined: float,
-        winner: str,
-        sigma_star: tuple[int, ...],
-        sigma_search: str,
-        variant: str,
-        underflow: tuple[str, ...] = (),
-    ) -> None:
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "a_value", a_value)
-        object.__setattr__(self, "b_value", b_value)
-        object.__setattr__(self, "combined", combined)
-        object.__setattr__(self, "winner", winner)
-        object.__setattr__(self, "sigma_star", sigma_star)
-        object.__setattr__(self, "sigma_search", sigma_search)
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "underflow", underflow)
+    _defaults = ((),)
 
     def to_json_dict(self) -> dict:
         return {
@@ -632,12 +609,6 @@ class ScanRecord(Record):
     """
 
     __slots__ = ("rho", "a", "b", "winner")
-
-    def __init__(self, rho: float, a: float, b: float, winner: str) -> None:
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "winner", winner)
 
 
 def _scan_point(rho: float, n: int, d: int, v: float) -> tuple[float, float]:

@@ -101,6 +101,14 @@ def _check_rho(rho: tuple[float, ...]) -> None:
             raise CliUsageError(f"--rho: rho must exceed 1, got {r}")
 
 
+def _from_flag(flag: str, build, *args):
+    """``build(*args)``, its ``ValueError`` a usage error naming ``flag``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise CliUsageError(f"{flag}: {exc}") from None
+
+
 def _emit(fmt: str, doc, table_rows: list[tuple[str, object]], csv: str) -> None:
     """Print the record ``doc`` as JSON, the rendered ``csv`` text, or a table."""
     if fmt == "json":
@@ -128,14 +136,14 @@ def cmd_bound(args: argparse.Namespace) -> int:
             f"--rho/--n: need one order per radius, got {len(rho)} radii and {len(n)} orders"
         )
     _check_rho(rho)
-    if not (math.isfinite(v) and v >= 0.0):
-        raise CliUsageError(f"--v: magnitude bound must be finite and >= 0, got {v}")
-    if args.epsilon < 0:
-        raise CliUsageError(f"--epsilon: must be >= 0, got {args.epsilon}")
-
-    inputs = BoundInputs(EllipseRadii(rho), NodeBudget(n), v)
+    radii = _from_flag("--rho", EllipseRadii, rho)
+    budget = _from_flag("--n", NodeBudget, n)
+    # the radii and orders agree in number, so only the magnitude bound can fail
+    inputs = _from_flag("--v", BoundInputs, radii, budget, v)
+    params = _from_flag("--epsilon", MParams, args.epsilon)
     report = bound_combined(inputs, variant=args.variant)
-    recursive, _, _ = recursive_bound_B_min(inputs, MParams(args.epsilon))
+    # refuses 1 + epsilon at or above the smallest radius
+    recursive, _, _ = _from_flag("--epsilon", recursive_bound_B_min, inputs, params)
 
     doc = report.to_json_dict()
     doc["recursive"] = recursive
@@ -171,15 +179,19 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    from .planner import PLAN_SELECTORS, PlanRequest, compare_plans, plan_nodes
+    from .planner import PLAN_SELECTORS, PlanRequest, _check_target, compare_plans, plan_nodes
 
     _check_rho(args.rho)
     if not (math.isfinite(args.v) and args.v > 0):
         raise CliUsageError(f"--v: magnitude bound must be positive, got {args.v}")
     if not (math.isfinite(args.eps) and args.eps > 0):
         raise CliUsageError(f"--eps: target must be positive, got {args.eps}")
+    _from_flag("--eps", _check_target, args.eps)
 
-    radii = EllipseRadii(args.rho)
+    radii = _from_flag("--rho", EllipseRadii, args.rho)
+    selector = "COMBINED" if args.selector == "all" else args.selector.upper()
+    # the other fields are checked above, so only the radii can be refused
+    request = _from_flag("--rho", PlanRequest, radii, args.v, args.eps, selector)
     if args.selector == "all":
         comparison = compare_plans(radii, args.v, args.eps).to_json_dict()
         doc = {
@@ -205,7 +217,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         _emit(args.format, doc, table, jsonio.csv_text(columns, rows))
         return 0
 
-    doc = plan_nodes(PlanRequest(radii, args.v, args.eps, args.selector.upper())).to_json_dict()
+    doc = plan_nodes(request).to_json_dict()
     table = [
         ("selector", doc["selector"]),
         ("budget", doc["budget"]),
@@ -227,15 +239,13 @@ def cmd_interp(args: argparse.Namespace) -> int:
     from . import verification
     from .interpolation import evaluate, interpolate
 
-    try:
-        f = verification.builtin_function(args.function, domain=args.domain)
-    except ValueError as exc:
-        raise CliUsageError(f"--function: {exc}") from None
+    f = _from_flag("--function", verification.builtin_function, args.function, args.domain)
     d = f.dimension
     if len(args.n) != d:
         raise CliUsageError(
             f"--n: {f.id} has {d} axes, got {len(args.n)} orders"
         )
+    budget = _from_flag("--n", NodeBudget, args.n)
     if len(args.probe) != d:
         raise CliUsageError(
             f"--probe: {f.id} has {d} axes, got {len(args.probe)} coordinates"
@@ -257,12 +267,9 @@ def cmd_interp(args: argparse.Namespace) -> int:
             4.0 if math.isinf(adm) else verification.ADMISSIBILITY_MARGIN * adm
             for adm in f.admissible_rho
         )
-    try:
-        verification.check_admissible(f, tuple(rho))
-    except ValueError as exc:
-        raise CliUsageError(f"--rho: {exc}") from None
+    rho = _from_flag("--rho", EllipseRadii, rho).values
+    _from_flag("--rho", verification.check_admissible, f, rho)
 
-    budget = NodeBudget(args.n)
     interp = interpolate(f.evaluator, f.domain, budget)
     probe = np.asarray(args.probe, dtype=float)
     value = evaluate(interp, probe)

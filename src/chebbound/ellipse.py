@@ -50,8 +50,7 @@ class GeneralizedBernsteinEllipse(Record):
             raise ValueError(
                 f"domain has {domain.dimension} axes but {radii.dimension} radii were given"
             )
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "radii", radii)
+        self._init(domain, radii)
 
     @property
     def dimension(self) -> int:

@@ -1,11 +1,14 @@
 """Value types the bounds and the planner take: ellipse radii and node budgets.
 
 Every value type of the package derives from :class:`Record`: an immutable
-object whose fields live in ``__slots__``, compared, hashed and printed by
-value, with validation in ``__init__``.  Copying and pickling go back
-through the constructor, so a copy is validated like the original.
-``_asdict()`` returns the fields in order; the types are not dataclasses, so
-``dataclasses.asdict``, ``replace`` and ``fields`` do not apply to them.
+object whose fields are named once, in ``__slots__``, and compared, hashed
+and printed by value.  A type that defines no ``__init__`` gets one built
+from its fields; a validating type checks its arguments in its own
+``__init__`` and then stores them with :meth:`Record._init`.  Copying and
+pickling go back through the constructor, so a copy is validated like the
+original.  ``_asdict()`` returns the fields in order; the types are not
+dataclasses, so ``dataclasses.asdict``, ``replace`` and ``fields`` do not
+apply to them.
 
 This module needs only the standard library, so ``chebbound bound`` and
 ``chebbound plan`` start without importing numpy; :mod:`chebbound.ellipse`
@@ -28,22 +31,61 @@ class FrozenInstanceError(AttributeError):
     """Assignment to, or deletion of, an attribute of a :class:`Record`."""
 
 
+def _constructor(cls):
+    """A real ``__init__`` taking the fields of ``cls`` in order, built once.
+
+    Like ``collections.namedtuple``, it compiles source text, so the
+    signature lists the fields and a missing argument is reported by name;
+    ``cls._defaults`` gives the defaults of the trailing fields.
+    """
+    fields = cls._fields
+    if len(cls._defaults) > len(fields):
+        raise TypeError(f"{cls.__qualname__}: more defaults than fields")
+    body = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
+    namespace = {"_set": object.__setattr__}
+    exec(f"def __init__(self, {', '.join(fields)}):{body or ' pass'}", namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = cls._defaults or None
+    init.__module__ = cls.__module__
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
 class Record:
     """Immutable value type with the fields named in ``__slots__``, in order.
 
-    A subclass lists its fields in ``__slots__`` and sets each one in
-    ``__init__`` with ``object.__setattr__``.  Equality and hash compare the
-    field values, and only between instances of the same class.
+    ``_fields`` lists the slots of the class and its bases, bases first.  A
+    subclass that defines no ``__init__``, and inherits none, gets one
+    taking its fields in order, with defaults for the last
+    ``len(_defaults)`` of them.  A validating subclass writes its own
+    ``__init__`` and stores the checked values with :meth:`_init`.  Equality
+    and hash compare the field values, and only between instances of the
+    same class.
     """
 
     __slots__ = ()
 
+    _fields: tuple[str, ...] = ()
+    #: defaults of the trailing fields, for the generated constructor
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = (*cls._fields, *cls.__dict__.get("__slots__", ()))
+        if cls.__init__ is object.__init__:
+            cls.__init__ = _constructor(cls)
+
+    def _init(self, *values) -> None:
+        """Store ``values`` as the fields, in field order."""
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
     def _astuple(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def _asdict(self) -> dict:
         """The fields as a dict, in field order; values are not copied."""
-        return {name: getattr(self, name) for name in self.__slots__}
+        return {name: getattr(self, name) for name in self._fields}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -54,7 +96,7 @@ class Record:
         return hash(self._astuple())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:
@@ -80,7 +122,7 @@ class EllipseRadii(Record):
         for i, r in enumerate(values):
             if not math.isfinite(r) or r < MIN_RADIUS:
                 raise ValueError(f"axis {i}: radius must be >= {MIN_RADIUS}, got {r}")
-        object.__setattr__(self, "values", values)
+        self._init(values)
 
     @property
     def dimension(self) -> int:
@@ -112,7 +154,7 @@ class NodeBudget(Record):
             # sys.maxsize is the largest numpy index, np.iinfo(np.intp).max
             if total > sys.maxsize:
                 raise ValueError("total grid size exceeds addressable tensor size")
-        object.__setattr__(self, "degrees", degrees)
+        self._init(degrees)
 
     @property
     def dimension(self) -> int:

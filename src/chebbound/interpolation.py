@@ -68,7 +68,7 @@ class Hyperrectangle(Record):
                 raise ValueError(f"axis {i}: bounds must be finite, got [{lo}, {hi}]")
             if not lo < hi:
                 raise ValueError(f"axis {i}: need lo < hi, got [{lo}, {hi}]")
-        object.__setattr__(self, "axes", axes)
+        self._init(axes)
 
     @classmethod
     def unit(cls, dimension: int) -> "Hyperrectangle":
@@ -296,9 +296,7 @@ class ChebyshevInterpolant(Record):
             raise ValueError("coefficients must be finite")
         coeffs = coeffs.copy()
         coeffs.flags.writeable = False
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "budget", budget)
-        object.__setattr__(self, "coefficients", coeffs)
+        self._init(domain, budget, coeffs)
 
     def __call__(self, x):
         return evaluate(self, x)

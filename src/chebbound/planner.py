@@ -127,10 +127,7 @@ class PlanRequest(Record):
                 f"planning supports up to {_MAX_PLAN_DIMENSION} dimensions, "
                 f"got {radii.dimension}"
             )
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "v_bound", v)
-        object.__setattr__(self, "epsilon_target", eps)
-        object.__setattr__(self, "selector", selector)
+        self._init(radii, v, eps, selector)
 
     @property
     def dimension(self) -> int:
@@ -141,14 +138,6 @@ class Plan(Record):
     """A certified budget: the bound value is re-checked, not assumed."""
 
     __slots__ = ("request", "budget", "grid_points", "certified_bound")
-
-    def __init__(
-        self, request: PlanRequest, budget: NodeBudget, grid_points: int, certified_bound: float
-    ) -> None:
-        object.__setattr__(self, "request", request)
-        object.__setattr__(self, "budget", budget)
-        object.__setattr__(self, "grid_points", grid_points)
-        object.__setattr__(self, "certified_bound", certified_bound)
 
     def to_json_dict(self) -> dict:
         return {
@@ -172,10 +161,6 @@ class PlanComparison(Record):
     """
 
     __slots__ = ("plans", "savings_vs_b")
-
-    def __init__(self, plans: dict[str, Plan], savings_vs_b: dict[str, float]) -> None:
-        object.__setattr__(self, "plans", plans)
-        object.__setattr__(self, "savings_vs_b", savings_vs_b)
 
     def to_json_dict(self) -> dict:
         return {

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from functools import partial, reduce
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -113,26 +113,7 @@ class TestFunction(Record):
         "exact_degrees",
         "factors",
     )
-
-    def __init__(
-        self,
-        id: str,
-        domain: Hyperrectangle,
-        evaluator: Callable[[NDArray], NDArray],
-        admissible_rho: tuple[float, ...],
-        family: str,
-        description: str,
-        exact_degrees: tuple[int, ...] | None = None,
-        factors: tuple[Callable[[NDArray], NDArray], ...] | None = None,
-    ) -> None:
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "evaluator", evaluator)
-        object.__setattr__(self, "admissible_rho", admissible_rho)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "exact_degrees", exact_degrees)
-        object.__setattr__(self, "factors", factors)
+    _defaults = (None, None)
 
     @property
     def dimension(self) -> int:
@@ -169,30 +150,6 @@ class VerificationRecord(Record):
         "bound_combined",
         "passed",
     )
-
-    def __init__(
-        self,
-        function_id: str,
-        domain: Hyperrectangle,
-        radii: tuple[float, ...],
-        v_estimate: float,
-        budget: tuple[int, ...],
-        empirical_error: float,
-        bound_a: float,
-        bound_b: float,
-        bound_combined: float,
-        passed: bool,
-    ) -> None:
-        object.__setattr__(self, "function_id", function_id)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "v_estimate", v_estimate)
-        object.__setattr__(self, "budget", budget)
-        object.__setattr__(self, "empirical_error", empirical_error)
-        object.__setattr__(self, "bound_a", bound_a)
-        object.__setattr__(self, "bound_b", bound_b)
-        object.__setattr__(self, "bound_combined", bound_combined)
-        object.__setattr__(self, "passed", passed)
 
     def to_json_dict(self) -> dict:
         return dict(self._asdict(), domain=[list(ax) for ax in self.domain.axes])

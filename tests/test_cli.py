@@ -324,6 +324,67 @@ class TestSweep:
         assert target.read_text().startswith("rho,a,b,winner")
 
 
+class TestUsageErrorsNameTheFlag:
+    """A value the library refuses is reported with the flag it came from."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, cause",
+        [
+            (
+                ["bound", "--rho", "2,3", "--n", "5,-1", "--v", "1"],
+                "--n",
+                "degrees must be integers >= 0",
+            ),
+            (
+                ["interp", "--function", "exp-d1", "--n", "-1", "--probe", "0"],
+                "--n",
+                "degrees must be integers >= 0",
+            ),
+            (
+                ["bound", "--rho", "1.0000000001", "--n", "5", "--v", "1"],
+                "--rho",
+                "axis 0: radius must be >= 1.000000001",
+            ),
+            (
+                ["plan", "--rho", "1.0000000001", "--v", "1", "--eps", "1e-3"],
+                "--rho",
+                "axis 0: radius must be >= 1.000000001",
+            ),
+            (
+                ["interp", "--function", "exp-d1", "--n", "3", "--probe", "0",
+                 "--rho", "1.0000000001"],
+                "--rho",
+                "axis 0: radius must be >= 1.000000001",
+            ),
+            (
+                ["bound", "--rho", "2,3", "--n", "5,5", "--v", "1", "--epsilon", "1.5"],
+                "--epsilon",
+                "1 + epsilon = 2.5 must stay below every radius",
+            ),
+            (
+                ["plan", "--rho", ",".join(["2"] * 13), "--v", "1", "--eps", "1e-3"],
+                "--rho",
+                "planning supports up to 12 dimensions",
+            ),
+        ],
+        ids=[
+            "bound-negative-order",
+            "interp-negative-order",
+            "bound-radius-near-one",
+            "plan-radius-near-one",
+            "interp-radius-near-one",
+            "bound-epsilon-past-radius",
+            "plan-too-many-radii",
+        ],
+    )
+    def test_message_names_the_flag(self, capsys, argv, flag, cause):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag}: {cause}")
+        assert err.count("\n") == 1
+
+
 class TestEnvironment:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -336,11 +397,12 @@ class TestStartup:
     """Each subcommand loads only what it needs.
 
     `bound`, `plan` and `sweep` run on the standard library, only `plan`
-    loads the planner, and nothing loads `dataclasses`.
+    loads the planner, and nothing loads `dataclasses`, nor `inspect`, `ast`
+    or `copy`, which the generated value-type constructors must not need.
     """
 
     #: the modules whose loading the cases pin
-    WATCHED = ("chebbound.planner", "dataclasses", "numpy")
+    WATCHED = ("chebbound.planner", "dataclasses", "inspect", "ast", "copy", "numpy")
 
     @pytest.mark.parametrize(
         "statement, loads",
@@ -370,12 +432,25 @@ class TestStartup:
         ],
         ids=["import", "import-cli", "bound", "plan", "sweep", "interp", "verify"],
     )
-    def test_numpy_loaded_only_when_needed(self, statement, loads):
-        """numpy, and likewise the planner and `dataclasses`, load only where listed."""
+    def test_numpy_loaded_only_when_needed(self, statement, loads, numpy_loads):
+        """numpy, and likewise every other watched module, loads only where listed.
+
+        Where numpy loads, so do the watched modules numpy imports itself.
+        """
+        expected = set(loads) | (numpy_loads if "numpy" in loads else set())
+        assert self._loaded(statement) == expected
+
+    @pytest.fixture(scope="class")
+    def numpy_loads(self):
+        """The watched modules that ``import numpy`` loads on its own."""
+        return self._loaded("import numpy") - {"numpy"}
+
+    def _loaded(self, statement: str) -> set[str]:
+        """The watched modules loaded after ``statement`` in a fresh interpreter."""
         script = (
             f"{statement}\nimport sys\n"
-            f"print([m for m in {self.WATCHED!r} if m in sys.modules], file=sys.stderr)"
+            f"print(*[m for m in {self.WATCHED!r} if m in sys.modules], file=sys.stderr)"
         )
         result = run_python("-c", script)
         assert result.returncode == 0, result.stderr
-        assert result.stderr.splitlines()[-1] == str(loads)
+        return set(result.stderr.splitlines()[-1].split())

@@ -1,6 +1,7 @@
 """The package namespace: eager bound names, lazily loaded planner and numeric ones."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -17,6 +18,17 @@ def test_lazy_names_come_from_their_module():
     for name, module in chebbound._LAZY.items():
         source = importlib.import_module(f"chebbound.{module}")
         assert getattr(chebbound, name) is getattr(source, name)
+
+
+def test_all_is_the_eager_names_then_the_lazy_ones_each_once():
+    assert len(set(chebbound.__all__)) == len(chebbound.__all__)
+    eager = {
+        name
+        for name, value in vars(chebbound).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    } - set(chebbound._LAZY)
+    assert set(chebbound.__all__) == {"__version__"} | eager | set(chebbound._LAZY)
+    assert chebbound.__all__[-len(chebbound._LAZY):] == list(chebbound._LAZY)
 
 
 def test_star_import_binds_every_public_name():

@@ -240,3 +240,71 @@ def test_plan_types_keep_their_documents():
     record = _build("VerificationRecord")
     assert isinstance(record, VerificationRecord)
     assert list(record.to_json_dict()) == list(VerificationRecord.__slots__)
+
+
+class Pair(Record):
+    __slots__ = ("left", "right")
+    _defaults = (0,)
+
+
+class Labelled(Pair):
+    __slots__ = ()
+
+
+class Empty(Record):
+    __slots__ = ()
+
+
+def test_a_type_without_init_gets_one_taking_its_fields():
+    pair = Pair(1, right=2)
+    assert (pair.left, pair.right) == (1, 2)
+    assert Pair(1) == Pair(left=1, right=0)
+    assert str(inspect.signature(Pair)) == "(left, right=0)"
+    assert Pair.__init__.__qualname__ == "Pair.__init__"
+    assert Empty() == Empty() and repr(Empty()) == "Empty()"
+    with pytest.raises(TypeError):
+        Empty(1)
+
+
+def test_a_subclass_keeps_the_generated_constructor():
+    assert Labelled.__init__ is Pair.__init__
+    value = Labelled(3, 4)
+    assert value._fields == Pair.__slots__
+    assert repr(value) == "Labelled(left=3, right=4)"
+    assert value == Labelled(3, 4) and value != Labelled(3, 5)
+    assert value != Pair(3, 4)
+
+
+@pytest.mark.parametrize(
+    "cls, args, kwargs, field",
+    [
+        (ScanRecord, (2.5, 1e-3, 2e-3), {}, "winner"),
+        (ScanRecord, (2.5, 1e-3, 2e-3, "A"), {"loser": "B"}, "loser"),
+        (Pair, (), {"right": 2}, "left"),
+        (Pair, (1,), {"left": 1}, "left"),
+    ],
+    ids=["missing", "unknown", "missing-keyword", "twice"],
+)
+def test_arity_errors_name_the_field(cls, args, kwargs, field):
+    with pytest.raises(TypeError, match=f"{cls.__name__}.__init__.*'{field}'"):
+        cls(*args, **kwargs)
+
+
+def test_too_many_positional_arguments_are_refused():
+    with pytest.raises(TypeError, match="ScanRecord.__init__"):
+        ScanRecord(2.5, 1e-3, 2e-3, "A", "B")
+
+
+def test_defaults_cover_only_the_trailing_fields():
+    for cls, defaults in [
+        (BoundReport, ((),)),
+        (verification.TestFunction, (None, None)),
+        (ScanRecord, None),
+        (Plan, None),
+    ]:
+        assert cls.__init__.__defaults__ == defaults
+        parameters = list(inspect.signature(cls).parameters.values())
+        with_default = [p.name for p in parameters if p.default is not p.empty]
+        assert with_default == list(cls.__slots__[len(cls.__slots__) - len(defaults or ()):])
+    with pytest.raises(TypeError, match="more defaults than fields"):
+        type("TooMany", (Record,), {"__slots__": ("x",), "_defaults": (1, 2)})
