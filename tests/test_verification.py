@@ -16,6 +16,7 @@ from chebbound.verification import (
     builtin_function,
     coefficient_decay_check,
     crossover_scan,
+    default_suite,
     entire_exponential,
     nonseparable_rational,
     polynomial_product,
@@ -341,6 +342,101 @@ class TestVerifyDomination:
         records = quick_suite()
         assert len(records) >= 4
         assert all(r.passed for r in records)
+
+
+#: (function_id, radii, budget) of every default_suite() record, in order;
+#: the scaled radii are float products of closed-form admissible radii
+DEFAULT_SUITE_COMPOSITION = [
+    ('sep-rational-d1', (1.9,), (5,)),
+    ('sep-rational-d1', (1.9,), (8,)),
+    ('sep-rational-d1', (1.9,), (11,)),
+    ('sep-rational-d1', (1.9,), (14,)),
+    ('sep-rational-d1', (1.9,), (17,)),
+    ('sep-rational-d1', (1.9,), (20,)),
+    ('sep-rational-d1', (1.9,), (23,)),
+    ('sep-rational-d1', (1.9,), (26,)),
+    ('sep-rational-d1-wide', (5.0,), (3,)),
+    ('sep-rational-d1-wide', (5.0,), (6,)),
+    ('sep-rational-d1-wide', (5.0,), (9,)),
+    ('sep-rational-d1-wide', (5.0,), (12,)),
+    ('exp-d1', (2.0,), (5,)),
+    ('exp-d1', (2.0,), (10,)),
+    ('exp-d1', (2.0,), (15,)),
+    ('exp-d1', (8.0,), (5,)),
+    ('exp-d1', (8.0,), (10,)),
+    ('exp-d1', (8.0,), (15,)),
+    ('exp-d1', (20.0,), (5,)),
+    ('exp-d1', (20.0,), (10,)),
+    ('exp-d1', (20.0,), (15,)),
+    ('nonsep-rational-d1', (3.0,), (4,)),
+    ('nonsep-rational-d1', (3.0,), (8,)),
+    ('nonsep-rational-d1', (3.0,), (12,)),
+    ('nonsep-rational-d1', (3.0,), (16,)),
+    ('poly-cubic-d1', (4.0,), (3,)),
+    ('poly-cubic-d1', (4.0,), (5,)),
+    ('poly-cubic-d1', (4.0,), (8,)),
+    ('sep-rational-d2', (1.9175961476626269, 2.564099639711712), (4, 4)),
+    ('sep-rational-d2', (1.9175961476626269, 2.564099639711712), (8, 8)),
+    ('sep-rational-d2', (1.9175961476626269, 2.564099639711712), (12, 12)),
+    ('sep-rational-d2', (1.9175961476626269, 2.564099639711712), (10, 6)),
+    ('sep-rational-d2', (1.0653311931459037, 1.42449979983984), (4, 4)),
+    ('sep-rational-d2', (1.0653311931459037, 1.42449979983984), (8, 8)),
+    ('sep-rational-d2', (1.0653311931459037, 1.42449979983984), (12, 12)),
+    ('sep-rational-d2', (1.0653311931459037, 1.42449979983984), (10, 6)),
+    ('sep-rational-d2-wide', (3.0, 5.0), (4, 6)),
+    ('sep-rational-d2-wide', (3.0, 5.0), (8, 10)),
+    ('sep-rational-d2-wide', (3.0, 5.0), (10, 4)),
+    ('sep-rational-d2-wide', (3.0, 5.0), (12, 8)),
+    ('exp-d2', (3.0, 3.0), (6, 6)),
+    ('exp-d2', (3.0, 3.0), (10, 8)),
+    ('exp-d2', (6.0, 2.0), (6, 6)),
+    ('exp-d2', (6.0, 2.0), (10, 8)),
+    ('nonsep-rational-d2', (3.0, 3.0), (6, 6)),
+    ('nonsep-rational-d2', (3.0, 3.0), (10, 10)),
+    ('nonsep-rational-d2', (3.0, 3.0), (12, 5)),
+    ('poly-cubic-d2', (2.5, 2.5), (3, 3)),
+    ('poly-cubic-d2', (2.5, 2.5), (5, 4)),
+    ('poly-cubic-d2', (2.5, 2.5), (4, 6)),
+    ('sep-rational-d3', (1.9175961476626269, 2.564099639711712, 3.743632614803889), (4, 4, 4)),
+    ('sep-rational-d3', (1.9175961476626269, 2.564099639711712, 3.743632614803889), (8, 6, 5)),
+    ('sep-rational-d3', (1.9175961476626269, 2.564099639711712, 3.743632614803889), (6, 6, 6)),
+    ('sep-rational-d3', (2.0, 2.4, 3.0), (7, 6, 5)),
+    ('exp-d3', (2.5, 2.5, 2.5), (5, 5, 5)),
+    ('exp-d3', (2.5, 2.5, 2.5), (8, 6, 4)),
+    ('exp-d3', (2.5, 2.5, 2.5), (6, 5, 4)),
+    ('nonsep-rational-d3', (2.6, 2.6, 2.6), (5, 5, 5)),
+    ('nonsep-rational-d3', (2.6, 2.6, 2.6), (7, 6, 5)),
+    ('nonsep-rational-d3', (2.6, 2.6, 2.6), (4, 4, 4)),
+    ('poly-cubic-d3', (2.0, 2.0, 2.0), (3, 3, 3)),
+    ('poly-cubic-d3', (2.0, 2.0, 2.0), (4, 3, 5)),
+]
+
+QUICK_SUITE_COMPOSITION = [
+    ('sep-rational-d1', (1.9,), (5,)),
+    ('sep-rational-d1', (1.9,), (15,)),
+    ('sep-rational-d1', (1.9,), (25,)),
+    ('exp-d2', (3.0, 3.0), (6, 6)),
+    ('sep-rational-d2', (1.9175961476626269, 2.564099639711712), (8, 8)),
+    ('poly-cubic-d1', (4.0,), (3,)),
+]
+
+
+class TestSuiteComposition:
+    """Each shipped suite runs the same rows, in the same order."""
+
+    def test_default_suite(self):
+        records = default_suite()
+        assert [(r.function_id, r.radii, r.budget) for r in records] == (
+            DEFAULT_SUITE_COMPOSITION
+        )
+        assert len(records) == 62
+
+    def test_quick_suite(self):
+        records = quick_suite()
+        assert [(r.function_id, r.radii, r.budget) for r in records] == (
+            QUICK_SUITE_COMPOSITION
+        )
+        assert len(records) == 6
 
 
 class TestCoefficientDecay:
