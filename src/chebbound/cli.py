@@ -239,7 +239,9 @@ def cmd_interp(args: argparse.Namespace) -> int:
     from . import verification
     from .interpolation import evaluate, interpolate
 
-    f = _from_flag("--function", verification.builtin_function, args.function, args.domain)
+    f = _from_flag("--function", verification.builtin_function, args.function)
+    if args.domain is not None:
+        f = _from_flag("--domain", verification.builtin_function, args.function, args.domain)
     d = f.dimension
     if len(args.n) != d:
         raise CliUsageError(
@@ -305,11 +307,7 @@ def cmd_interp(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import verification
 
-    records = (
-        verification.default_suite()
-        if args.suite == "default"
-        else verification.quick_suite()
-    )
+    records = verification._run_suite(args.suite)
     failed = [r for r in records if not r.passed]
     csv = verification.records_to_csv(records)
     _write_csv(args.csv, csv)
@@ -354,6 +352,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CliUsageError(f"--n: order must be >= 0, got {args.n}")
     if args.d < 1:
         raise CliUsageError(f"--d: dimension must be >= 1, got {args.d}")
+    # the scan builds these inputs at every radius; refuse them once, by flag
+    budget = _from_flag("--n/--d", NodeBudget, (args.n,) * args.d)
+    radii = _from_flag("--rho-range", EllipseRadii, (lo,) * args.d)
+    _from_flag("--v", BoundInputs, radii, budget, args.v)
 
     records = crossover_scan(args.n, args.d, lo, hi, args.steps, args.v)
     csv = scan_to_csv(records)

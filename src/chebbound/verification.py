@@ -2,6 +2,10 @@
 
 Test families with provable analyticity regions, a dense sup-error probe,
 and the domination check (measured error must stay under ``min{a, b}``).
+The shipped suites are data: ``_SUITES`` maps each ``chebbound verify
+--suite`` name to rows of (builtin id, radii schedule, budget schedule,
+probe resolution or ``None`` for the dimension's default), and a bare
+number in a radii schedule scales the builtin's admissible radii by it.
 Also hosts the coefficient-decay check and the side-by-side report of
 published reference values for the worked inputs this package
 reproduces; the A-vs-B crossover scan it reports lives in
@@ -504,89 +508,59 @@ def verify_domination(
     return records
 
 
-def _scaled_radii(f: TestFunction, factor: float) -> tuple[float, ...]:
-    return tuple(factor * adm for adm in f.admissible_rho)
+#: the shipped suites, as the module docstring reads them
+_SUITES = {
+    "default": (
+        ("sep-rational-d1", [(1.9,)], [(n,) for n in range(5, 29, 3)], None),
+        ("sep-rational-d1-wide", [(5.0,)], [(3,), (6,), (9,), (12,)], None),
+        ("exp-d1", [(2.0,), (8.0,), (20.0,)], [(5,), (10,), (15,)], None),
+        ("nonsep-rational-d1", [(3.0,)], [(4,), (8,), (12,), (16,)], None),
+        ("poly-cubic-d1", [(4.0,)], [(3,), (5,), (8,)], None),
+        ("sep-rational-d2", [0.9, 0.5], [(4, 4), (8, 8), (12, 12), (10, 6)], None),
+        ("sep-rational-d2-wide", [(3.0, 5.0)], [(4, 6), (8, 10), (10, 4), (12, 8)], None),
+        ("exp-d2", [(3.0, 3.0), (6.0, 2.0)], [(6, 6), (10, 8)], None),
+        ("nonsep-rational-d2", [(3.0, 3.0)], [(6, 6), (10, 10), (12, 5)], None),
+        ("poly-cubic-d2", [(2.5, 2.5)], [(3, 3), (5, 4), (4, 6)], None),
+        ("sep-rational-d3", [0.9], [(4, 4, 4), (8, 6, 5), (6, 6, 6)], None),
+        ("sep-rational-d3", [(2.0, 2.4, 3.0)], [(7, 6, 5)], None),
+        ("exp-d3", [(2.5, 2.5, 2.5)], [(5, 5, 5), (8, 6, 4), (6, 5, 4)], None),
+        ("nonsep-rational-d3", [(2.6, 2.6, 2.6)], [(5, 5, 5), (7, 6, 5), (4, 4, 4)], None),
+        ("poly-cubic-d3", [(2.0, 2.0, 2.0)], [(3, 3, 3), (4, 3, 5)], None),
+    ),
+    "quick": (
+        ("sep-rational-d1", [(1.9,)], [(5,), (15,), (25,)], 129),
+        ("exp-d2", [(3.0, 3.0)], [(6, 6)], 65),
+        ("sep-rational-d2", [0.9], [(8, 8)], 65),
+        ("poly-cubic-d1", [(4.0,)], [(3,)], 129),
+    ),
+}
+
+
+def _run_suite(name: str) -> list[VerificationRecord]:
+    """The records of every row of ``_SUITES[name]``, rows in table order."""
+    records: list[VerificationRecord] = []
+    for function_id, radii_schedule, budgets, probe_resolution in _SUITES[name]:
+        f = builtin_function(function_id)
+        radii_schedule = [
+            r if isinstance(r, tuple) else tuple(r * adm for adm in f.admissible_rho)
+            for r in radii_schedule
+        ]
+        records += verify_domination(f, radii_schedule, budgets, probe_resolution=probe_resolution)
+    return records
 
 
 def default_suite() -> list[VerificationRecord]:
-    """The shipped domination suite: >= 60 records over D in {1,2,3}."""
-    records: list[VerificationRecord] = []
-    fam = {f.id: f for f in builtin_families()}
+    """The shipped domination suite: 62 records over D in {1,2,3}.
 
-    records += verify_domination(
-        fam["sep-rational-d1"], [(1.9,)], [(n,) for n in range(5, 29, 3)]
-    )
-    records += verify_domination(
-        fam["sep-rational-d1-wide"], [(5.0,)], [(3,), (6,), (9,), (12,)]
-    )
-    records += verify_domination(
-        fam["exp-d1"], [(2.0,), (8.0,), (20.0,)], [(5,), (10,), (15,)]
-    )
-    records += verify_domination(
-        fam["nonsep-rational-d1"], [(3.0,)], [(4,), (8,), (12,), (16,)]
-    )
-    records += verify_domination(fam["poly-cubic-d1"], [(4.0,)], [(3,), (5,), (8,)])
-
-    sep2 = fam["sep-rational-d2"]
-    records += verify_domination(
-        sep2,
-        [_scaled_radii(sep2, 0.9), _scaled_radii(sep2, 0.5)],
-        [(4, 4), (8, 8), (12, 12), (10, 6)],
-    )
-    records += verify_domination(
-        fam["sep-rational-d2-wide"], [(3.0, 5.0)], [(4, 6), (8, 10), (10, 4), (12, 8)]
-    )
-    records += verify_domination(
-        fam["exp-d2"], [(3.0, 3.0), (6.0, 2.0)], [(6, 6), (10, 8)]
-    )
-    records += verify_domination(
-        fam["nonsep-rational-d2"], [(3.0, 3.0)], [(6, 6), (10, 10), (12, 5)]
-    )
-    records += verify_domination(
-        fam["poly-cubic-d2"], [(2.5, 2.5)], [(3, 3), (5, 4), (4, 6)]
-    )
-
-    sep3 = fam["sep-rational-d3"]
-    records += verify_domination(
-        sep3,
-        [_scaled_radii(sep3, 0.9)],
-        [(4, 4, 4), (8, 6, 5), (6, 6, 6)],
-    )
-    records += verify_domination(
-        fam["sep-rational-d3"], [(2.0, 2.4, 3.0)], [(7, 6, 5)]
-    )
-    records += verify_domination(
-        fam["exp-d3"], [(2.5, 2.5, 2.5)], [(5, 5, 5), (8, 6, 4), (6, 5, 4)]
-    )
-    records += verify_domination(
-        fam["nonsep-rational-d3"], [(2.6, 2.6, 2.6)], [(5, 5, 5), (7, 6, 5), (4, 4, 4)]
-    )
-    records += verify_domination(
-        fam["poly-cubic-d3"], [(2.0, 2.0, 2.0)], [(3, 3, 3), (4, 3, 5)]
-    )
-    return records
+    Runs the ``"default"`` rows of ``_SUITES`` in order.  A radii entry 0.9
+    there reads as 0.9 times each admissible radius of the row's builtin.
+    """
+    return _run_suite("default")
 
 
 def quick_suite() -> list[VerificationRecord]:
     """A fast subset for smoke runs (same machinery, fewer records)."""
-    records: list[VerificationRecord] = []
-    fam = {f.id: f for f in builtin_families()}
-    records += verify_domination(
-        fam["sep-rational-d1"], [(1.9,)], [(5,), (15,), (25,)], probe_resolution=129
-    )
-    records += verify_domination(
-        fam["exp-d2"], [(3.0, 3.0)], [(6, 6)], probe_resolution=65
-    )
-    records += verify_domination(
-        fam["sep-rational-d2"],
-        [_scaled_radii(fam["sep-rational-d2"], 0.9)],
-        [(8, 8)],
-        probe_resolution=65,
-    )
-    records += verify_domination(
-        fam["poly-cubic-d1"], [(4.0,)], [(3,)], probe_resolution=129
-    )
-    return records
+    return _run_suite("quick")
 
 
 # ---------------------------------------------------------------------------

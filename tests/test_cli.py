@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chebbound.cli import main
+from chebbound import verification
+from chebbound.cli import build_parser, main
 from chebbound.verification import builtin_function, verify_domination
 
 
@@ -282,6 +283,13 @@ class TestVerify:
         assert doc["failed"] == 0
         assert len(doc["records"]) == doc["total"]
 
+    def test_suite_choices_are_the_suite_table(self):
+        # the parser states them literally, so that it need not load numpy
+        [subparsers] = [a for a in build_parser()._actions if a.dest == "subcommand"]
+        [suite] = [a for a in subparsers.choices["verify"]._actions if a.dest == "suite"]
+        assert list(suite.choices) == list(verification._SUITES)
+        assert suite.default in verification._SUITES
+
 
 class TestSweep:
     def test_default_format_is_csv(self, capsys):
@@ -366,6 +374,48 @@ class TestUsageErrorsNameTheFlag:
                 "--rho",
                 "planning supports up to 12 dimensions",
             ),
+            (
+                ["sweep", "--v", "-1", "--steps", "3"],
+                "--v",
+                "magnitude bound must be finite and >= 0, got -1.0",
+            ),
+            (
+                ["sweep", "--v", "nan", "--steps", "3"],
+                "--v",
+                "magnitude bound must be finite and >= 0, got nan",
+            ),
+            (
+                ["sweep", "--v", "inf", "--steps", "3"],
+                "--v",
+                "magnitude bound must be finite and >= 0, got inf",
+            ),
+            (
+                ["sweep", "--n", "100000000000000000000", "--steps", "3"],
+                "--n/--d",
+                "total grid size exceeds addressable tensor size",
+            ),
+            (
+                ["sweep", "--d", "100", "--steps", "3"],
+                "--n/--d",
+                "total grid size exceeds addressable tensor size",
+            ),
+            (
+                ["sweep", "--rho-range", "1.0000000001:2", "--steps", "3"],
+                "--rho-range",
+                "axis 0: radius must be >= 1.000000001",
+            ),
+            (
+                ["interp", "--function", "exp-d1", "--domain", "0:1,0:1", "--n", "5",
+                 "--probe", "0.5"],
+                "--domain",
+                "domain has 2 axes, expected 1",
+            ),
+            (
+                ["interp", "--function", "sep-rational-d1", "--domain", "0:2", "--n", "5",
+                 "--probe", "0.5"],
+                "--domain",
+                "singularity 1.25 lies inside [0.0, 2.0]",
+            ),
         ],
         ids=[
             "bound-negative-order",
@@ -375,6 +425,14 @@ class TestUsageErrorsNameTheFlag:
             "interp-radius-near-one",
             "bound-epsilon-past-radius",
             "plan-too-many-radii",
+            "sweep-negative-magnitude",
+            "sweep-nan-magnitude",
+            "sweep-infinite-magnitude",
+            "sweep-huge-order",
+            "sweep-many-dimensions",
+            "sweep-radius-near-one",
+            "interp-domain-axes",
+            "interp-domain-over-the-pole",
         ],
     )
     def test_message_names_the_flag(self, capsys, argv, flag, cause):
