@@ -120,9 +120,14 @@ def _emit(fmt: str, doc, table_rows: list[tuple[str, object]], csv: str) -> None
 
 
 def _write_csv(path: str | None, text: str) -> None:
-    if path is not None:
+    """Write ``text`` to the ``--csv`` path, if given; an unwritable path is a usage error."""
+    if path is None:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CliUsageError(f"--csv: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

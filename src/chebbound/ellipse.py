@@ -36,8 +36,11 @@ V_SAFETY = 1.01
 
 _CONTAINS_SLACK = 1e-12
 
-#: boundary points per block in :func:`estimate_V`; caps its working memory
-_SCAN_BLOCK = 2**16
+#: boundary points per block in :func:`estimate_V`; caps its working memory.
+#: At 4096 points a block's temporaries stay under 1 MB up to d = 4, and a
+#: fresh process scans faster than at 2**16, whose multi-MB temporaries
+#: outgrow the CPU caches and are mapped afresh, page by page.
+_SCAN_BLOCK = 2**12
 
 
 class GeneralizedBernsteinEllipse(Record):

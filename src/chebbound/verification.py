@@ -12,13 +12,15 @@ reproduces; the A-vs-B crossover scan it reports lives in
 :mod:`chebbound.bounds`, which needs no numpy, and is re-exported here.
 
 Every routine here is deterministic: probe grids are fixed, random probes
-use a hard-coded seed, and boundary scans use uniform angle grids.
+use a hard-coded seed, and boundary scans use uniform angle grids.  The
+random probes are numpy's PCG64 stream for ``PROBE_SEED``, reproduced in
+pure Python, so nothing here loads ``numpy.random``.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from typing import Sequence
 
 import numpy as np
@@ -78,7 +80,8 @@ __all__ = [
 #: scheduled radii must stay at or below this fraction of the admissible ones
 ADMISSIBILITY_MARGIN = 0.98
 
-#: seed for the uniform random probe points in sup_error
+#: seed for the uniform random probe points in sup_error, as numpy's
+#: ``default_rng`` would take it
 PROBE_SEED = 0x5EED
 
 #: default probe resolutions per dimension (dense; under-sampling the true
@@ -372,7 +375,9 @@ def sup_error(
     per axis plus the halving cascade ``resolution // 2``, ``// 4``, ...
     down to the first level below 66 (513 gives 513, 256, 128, 64) — so
     doubling the resolution strictly extends the probe set — and 100 * D
-    uniform random points from a fixed-seed generator.  The exact values
+    uniform random points: the first 100 * D**2 doubles of
+    ``np.random.default_rng(PROBE_SEED)``, row by row, drawn without
+    ``numpy.random`` by a copy of its PCG64 stream.  The exact values
     come from :meth:`TestFunction.on_grid`, per axis for separable families;
     :func:`verify_domination` evaluates them once per probe slab for all of
     its budgets.
@@ -381,6 +386,59 @@ def sup_error(
     err high.
     """
     return _sup_errors(f, [interpolant], resolution)[0]
+
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@lru_cache(maxsize=None)
+def _pcg64_doubles(seed: int, count: int) -> tuple[float, ...]:
+    """The first ``count`` doubles of ``np.random.default_rng(seed).random()``.
+
+    numpy's PCG64 (O'Neill, HMC-CS-2014-0905) in Python, so the probes need
+    no ``numpy.random``: ``SeedSequence(seed)`` hashes the seed's 32-bit
+    words into a pool of four and draws the 128-bit state and increment
+    from it; each draw steps the 128-bit LCG and takes the XSL-RR output
+    ``x``, and each double is ``(x >> 11) * 2**-53``.
+    """
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int, multiplier: int = 0x931E8875) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * multiplier & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD
+    state_words = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+    s0, s1, i0, i1 = (state_words[k] | state_words[k + 1] << 32 for k in range(0, 8, 2))
+
+    increment = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+    # seeding steps the zero state (to ``increment``), adds the seed and steps again
+    state = ((increment + (s0 << 64 | s1)) * _PCG64_MULTIPLIER + increment) & _MASK128
+    doubles = []
+    for _ in range(count):
+        state = (state * _PCG64_MULTIPLIER + increment) & _MASK128
+        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        doubles.append((((x >> rot | x << (64 - rot)) & _MASK64) >> 11) * 2.0**-53)
+    return tuple(doubles)
 
 
 def _sup_errors(
@@ -408,9 +466,9 @@ def _sup_errors(
             err = np.max(np.abs(exact - evaluate_grid(interpolant, slab)))
             worst[k] = np.maximum(worst[k], err)
 
-    rng = np.random.default_rng(PROBE_SEED)
     lo, hi = np.array(f.domain.axes).T
-    random_pts = lo + (hi - lo) * rng.random((100 * d, d))
+    unit = np.array(_pcg64_doubles(PROBE_SEED, 100 * d * d)).reshape(100 * d, d)
+    random_pts = lo + (hi - lo) * unit
     exact_r = np.asarray(f.evaluator(random_pts), dtype=float)
     return [
         float(max(w, np.max(np.abs(exact_r - evaluate(interpolant, random_pts)))))

@@ -442,6 +442,21 @@ class TestUsageErrorsNameTheFlag:
         assert err.startswith(f"error: {flag}: {cause}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--suite", "quick"], ["sweep", "--steps", "3"]],
+        ids=["verify", "sweep"],
+    )
+    def test_unwritable_csv_path(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, *argv, "--csv", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --csv: [Errno ")
+        assert str(target) in err
+        assert err.count("\n") == 1
+        assert not target.parent.exists()
+
 
 class TestEnvironment:
     def test_help_exits_zero(self, capsys):
@@ -456,11 +471,14 @@ class TestStartup:
 
     `bound`, `plan` and `sweep` run on the standard library, only `plan`
     loads the planner, and nothing loads `dataclasses`, nor `inspect`, `ast`
-    or `copy`, which the generated value-type constructors must not need.
+    or `copy`, which the generated value-type constructors must not need,
+    nor `numpy.random`, whose stream the verification probes reproduce.
     """
 
     #: the modules whose loading the cases pin
-    WATCHED = ("chebbound.planner", "dataclasses", "inspect", "ast", "copy", "numpy")
+    WATCHED = (
+        "chebbound.planner", "dataclasses", "inspect", "ast", "copy", "numpy", "numpy.random"
+    )
 
     @pytest.mark.parametrize(
         "statement, loads",

@@ -20,7 +20,17 @@ from chebbound.ellipse import (
     transform_tau,
 )
 from chebbound.interpolation import Hyperrectangle
-from chebbound.verification import builtin_families, separable_rational
+from chebbound.verification import builtin_families, builtin_function, separable_rational
+
+
+def _traced_peak(call, *args, **kwargs):
+    """``call(*args, **kwargs)`` and the peak of the memory it traced, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestEllipseRadii:
@@ -189,15 +199,18 @@ class TestEstimateV:
         """16.8 M boundary points in bounded memory (a whole-torus scan takes ~1 GB)."""
         ell = GeneralizedBernsteinEllipse(Hyperrectangle.unit(4), EllipseRadii((1.5,) * 4))
         f = separable_rational((2.0,) * 4)
-        tracemalloc.start()
-        try:
-            v = estimate_V(f.evaluator, ell, resolution=64)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
+        v, peak = _traced_peak(estimate_V, f.evaluator, ell, resolution=64)
+        assert peak < 2 * 2**20
         # the maximum sits at the real vertex 13/12 of every axis ellipse
         assert v == pytest.approx(V_SAFETY / (2.0 - 13.0 / 12.0) ** 4, rel=1e-12)
+
+    def test_memory_of_the_suite_scan_in_three_dimensions(self):
+        """The d=3 suite's V scan (32 angles per axis) stays under 1 MB."""
+        f = builtin_function("sep-rational-d3")
+        radii = EllipseRadii(tuple(0.9 * r for r in f.admissible_rho))
+        ell = GeneralizedBernsteinEllipse(f.domain, radii)
+        _, peak = _traced_peak(estimate_V, f.evaluator, ell, resolution=32)
+        assert peak < 2**20
 
     def test_deterministic(self):
         ell = GeneralizedBernsteinEllipse(Hyperrectangle.unit(1), EllipseRadii((1.7,)))

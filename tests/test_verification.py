@@ -30,7 +30,9 @@ from chebbound.verification import (
 )
 from chebbound.verification import (
     DEFAULT_PROBE_RESOLUTION,
+    PROBE_SEED,
     _axis_probes,
+    _pcg64_doubles,
     _probe_levels,
     _sup_errors,
 )
@@ -140,6 +142,23 @@ class TestSupError:
         assert _probe_levels(513) == [513, 256, 128, 64]
         assert _probe_levels(65) == [65]
         assert _probe_levels(129) == [129, 64]
+
+    @pytest.mark.parametrize(
+        "seed",
+        [PROBE_SEED, 0, 2**32 + 1, 2**64 + 5, 2**160 + 3],
+        ids=["probe-seed", "0", "2^32+1", "2^64+5", "2^160+3"],
+    )
+    def test_random_probes_are_numpys_pcg64_stream(self, seed):
+        """The package's copy of PCG64 draws numpy's doubles bit for bit.
+
+        ``numpy.random`` is the reference here only.  The last three seeds
+        take two, three and six 32-bit words of entropy; past the pool's
+        four words, the seed hash mixes the rest in separately.
+        """
+        for d in range(1, 13):
+            expected = np.random.default_rng(seed).random((100 * d, d))
+            got = np.array(_pcg64_doubles(seed, 100 * d * d)).reshape(100 * d, d)
+            assert np.array_equal(got, expected), d
 
     def test_resolution_floor(self):
         f = builtin_function("poly-cubic-d1")
