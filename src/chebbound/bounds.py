@@ -346,19 +346,26 @@ def bound_a_for_sigma(inputs: BoundInputs, sigma, variant: str = "consistent") -
     return _finish(core, core_log, inputs.v_bound)
 
 
-def _minimise_over_orders(evaluate, radii: tuple[float, ...], d: int):
+def _minimise_over_orders(evaluate, radii: tuple[float, ...], d: int, stop=None):
     """min over axis orders of evaluate(sigma) -> (value, log).
 
     Exhaustive for d <= EXHAUSTIVE_ORDER_LIMIT (ties keep the first order
     in lexicographic enumeration); above that, steepest-decay-first start
     refined by best-improvement pairwise-swap descent.  Comparison falls
     back to the logs when two values round to the same double.
+
+    ``stop(cand)``, if given, ends the exhaustive search at the first order
+    whose ``(value, log)`` satisfies it and returns that order, so the
+    result is then only an upper bound on the minimum.  The pairwise-swap
+    search ignores it.
     """
     if d <= EXHAUSTIVE_ORDER_LIMIT:
         best = (math.inf, math.inf)
         best_sigma = tuple(range(d))
         for sigma in itertools.permutations(range(d)):
             cand = evaluate(sigma)
+            if stop is not None and stop(cand):
+                return cand, sigma, "EXHAUSTIVE"
             if cand < best:
                 best, best_sigma = cand, sigma
         return best, best_sigma, "EXHAUSTIVE"
@@ -389,11 +396,11 @@ def _minimise_over_orders(evaluate, radii: tuple[float, ...], d: int):
 
 
 def _bound_a_min_core(
-    radii: tuple[float, ...], degrees: tuple[int, ...], variant: str
+    radii: tuple[float, ...], degrees: tuple[int, ...], variant: str, stop=None
 ):
-    """((value, log), sigma_star, search) of bound A at V=1."""
+    """((value, log), sigma_star, search) of bound A at V=1; ``stop`` as in the search."""
     evaluate = _bound_a_evaluator(radii, degrees, variant)
-    return _minimise_over_orders(evaluate, radii, len(radii))
+    return _minimise_over_orders(evaluate, radii, len(radii), stop)
 
 
 def bound_a(
@@ -560,11 +567,11 @@ def _recursive_evaluator(
 
 
 def _recursive_min_core(
-    radii: tuple[float, ...], degrees: tuple[int, ...], epsilon: float
+    radii: tuple[float, ...], degrees: tuple[int, ...], epsilon: float, stop=None
 ):
-    """((value, log), sigma_star, search) of the recursive bound at V=1."""
+    """((value, log), sigma_star, search) of the recursive bound at V=1; ``stop`` as in the search."""
     evaluate = _recursive_evaluator(radii, degrees, epsilon)
-    return _minimise_over_orders(evaluate, radii, len(radii))
+    return _minimise_over_orders(evaluate, radii, len(radii), stop)
 
 
 def recursive_bound_B(inputs: BoundInputs, params: MParams | None = None) -> float:

@@ -6,13 +6,17 @@ All output is deterministic: identical invocations produce byte-identical
 bytes.  Floats are printed with 17 significant digits in ``json`` and
 ``csv`` formats and 6 in ``table`` format.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 when the
+reader closed stdout before the output was written (``| head``), the code a
+shell reports for a process ended by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import re
 import sys
 
@@ -37,6 +41,9 @@ from .inputs import EllipseRadii, NodeBudget
 __all__ = ["main"]
 
 FORMATS = ("table", "json", "csv")
+
+#: exit code when stdout is closed early, as for a process ended by SIGPIPE
+EXIT_BROKEN_PIPE = 141
 
 
 class CliUsageError(ValueError):
@@ -117,6 +124,20 @@ def _emit(fmt: str, doc, table_rows: list[tuple[str, object]], csv: str) -> None
         sys.stdout.write(csv)
     else:
         print(jsonio.table_text(table_rows))
+
+
+def _check_csv_dir(path: str | None) -> None:
+    """Refuse a ``--csv`` path whose directory is missing, before any work.
+
+    The message is the one ``open`` would give for the path; nothing is
+    created.
+    """
+    if path is None:
+        return
+    directory = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+        raise CliUsageError(f"--csv: {OSError(code, os.strerror(code), path)}")
 
 
 def _write_csv(path: str | None, text: str) -> None:
@@ -312,6 +333,7 @@ def cmd_interp(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import verification
 
+    _check_csv_dir(args.csv)
     records = verification._run_suite(args.suite)
     failed = [r for r in records if not r.passed]
     csv = verification.records_to_csv(records)
@@ -361,6 +383,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     budget = _from_flag("--n/--d", NodeBudget, (args.n,) * args.d)
     radii = _from_flag("--rho-range", EllipseRadii, (lo,) * args.d)
     _from_flag("--v", BoundInputs, radii, budget, args.v)
+    _check_csv_dir(args.csv)
 
     records = crossover_scan(args.n, args.d, lo, hi, args.steps, args.v)
     csv = scan_to_csv(records)
@@ -477,7 +500,16 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 for --help
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): end quietly, and let the
+        # interpreter's last flush write to /dev/null instead of the pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ValueError as exc:  # CliUsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,10 @@ sufficient evidence (``_make_feasible``): under COMBINED, B is tried first,
 since the minimum certifies when either bound does; then A, COMBINED and
 RECURSIVE reject a budget whose order-free first sum
 ``V sum_i 4 rho_i^-N_i / (rho_i - 1)`` already exceeds the target; only the
-rest pay for the search over axis orders.
+rest pay for the search over axis orders.  The planner asks only whether
+some order certifies, so up to 8 axes that search ends at the first order
+whose bound is below the target by a relative margin of 1e-9; a failing
+test still visits every order.
 
 Objective ties prefer the lexicographically smallest budget.  The search
 evaluates bounds through the same cores as the public bound functions,
@@ -214,10 +217,15 @@ def invert_univariate(rho: float, v: float, eps: float) -> int:
 # ---------------------------------------------------------------------------
 # feasibility tests (the public bounds' own cores at V=1, times V)
 
+# the A and RECURSIVE cores take the order search's optional ``stop``
 _SELECTOR_CORES = {
-    "A": lambda radii, degrees: _bound_a_min_core(radii, degrees, "consistent")[0],
+    "A": lambda radii, degrees, stop=None: _bound_a_min_core(
+        radii, degrees, "consistent", stop
+    )[0],
     "B": _bound_b_core,
-    "RECURSIVE": lambda radii, degrees: _recursive_min_core(radii, degrees, 0.0)[0],
+    "RECURSIVE": lambda radii, degrees, stop=None: _recursive_min_core(
+        radii, degrees, 0.0, stop
+    )[0],
 }
 
 
@@ -232,7 +240,10 @@ def _make_feasible(selector: str, radii: tuple[float, ...], v: float, eps: float
        ``sum_i 4 rho_i^-N_i / (rho_i - 1)`` times V, summed and finished
        like the bounds.  If it exceeds ``eps * (1 + _FLOOR_SLACK)``, no
        order certifies.
-    3. Otherwise the order search of the selected core decides.
+    3. Otherwise the order search of the selected core decides.  It ends
+       at the first order whose core is a normal double with ``core * V``
+       a normal double at most ``eps * (1 - _FLOOR_SLACK)``: that order
+       certifies, so the minimum over orders does too.
 
     Step 2 is exact.  The floor's terms are the same doubles as the first
     d terms of A (consistent variant) and of the recursive bound in every
@@ -245,6 +256,16 @@ def _make_feasible(selector: str, radii: tuple[float, ...], v: float, eps: float
     monotone and keeps a normal result within rounding of core times V, and
     targets are at least the smallest normal double, so a floor above the
     margin means a bound above ``eps``.
+
+    Step 3's early exit is exact too: the decision is still
+    ``_finish(min) <= eps``.  The minimum over orders is at most the
+    stopping core.  If ``_finish`` multiplies directly, ``_finish(min)`` is
+    the rounded ``min * V``, at most the rounded ``core * V``, which is
+    below ``eps``.  If it goes through logs (a subnormal core or product),
+    ``_finish(min)`` is within about 1e-13 relative of the exact product,
+    itself at most ``core * V``; the margin covers that gap.  A candidate
+    inside the margin does not stop the search, which then decides on the
+    minimum as before.
     """
     b_core = _SELECTOR_CORES["B"]
     if selector == "B":
@@ -252,6 +273,11 @@ def _make_feasible(selector: str, radii: tuple[float, ...], v: float, eps: float
     core = _SELECTOR_CORES["A" if selector == "COMBINED" else selector]
     combined = selector == "COMBINED"
     screen = eps * (1.0 + _FLOOR_SLACK)
+    certain = eps * (1.0 - _FLOOR_SLACK)
+
+    def stop(cand: tuple[float, float]) -> bool:
+        value = cand[0] * v
+        return cand[0] >= _TINY and _TINY <= value <= certain
 
     def feasible(degrees: tuple[int, ...]) -> bool:
         if combined and _finish(*b_core(radii, degrees), v) <= eps:
@@ -259,7 +285,7 @@ def _make_feasible(selector: str, radii: tuple[float, ...], v: float, eps: float
         first_sum = _sum_terms([_univ_core(r, n) for r, n in zip(radii, degrees)])
         if _finish(*first_sum, v) > screen:
             return False
-        return _finish(*core(radii, degrees), v) <= eps
+        return _finish(*core(radii, degrees, stop), v) <= eps
 
     return feasible
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chebbound import verification
+from chebbound import cli, verification
 from chebbound.cli import build_parser, main
 from chebbound.verification import builtin_function, verify_domination
 
@@ -23,12 +23,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env():
+    """The environment with this checkout's sources first on the path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def run_python(*args):
     """A fresh interpreter with this checkout's sources first on the path."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=120,
@@ -442,20 +447,31 @@ class TestUsageErrorsNameTheFlag:
         assert err.startswith(f"error: {flag}: {cause}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("parent", ["missing", "file"])
     @pytest.mark.parametrize(
         "argv",
         [["verify", "--suite", "quick"], ["sweep", "--steps", "3"]],
         ids=["verify", "sweep"],
     )
-    def test_unwritable_csv_path(self, capsys, tmp_path, argv):
-        target = tmp_path / "missing" / "x.csv"
+    def test_unwritable_csv_path(self, capsys, monkeypatch, tmp_path, argv, parent):
+        """The path is refused before the suite or the scan runs, and nothing is created."""
+        ran = []
+        monkeypatch.setattr(verification, "_run_suite", lambda *args: ran.append("suite"))
+        monkeypatch.setattr(cli, "crossover_scan", lambda *args: ran.append("scan"))
+        if parent == "file":
+            (tmp_path / "file").write_text("kept\n")
+        target = tmp_path / parent / "x.csv"
         code, out, err = run(capsys, *argv, "--csv", str(target))
         assert code == 2
         assert out == ""
         assert err.startswith("error: --csv: [Errno ")
         assert str(target) in err
         assert err.count("\n") == 1
-        assert not target.parent.exists()
+        assert ran == []
+        if parent == "file":
+            assert (tmp_path / "file").read_text() == "kept\n"
+        else:
+            assert not target.parent.exists()
 
 
 class TestEnvironment:
@@ -464,6 +480,24 @@ class TestEnvironment:
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
+
+    def test_closed_stdout_ends_quietly(self):
+        """A reader that stops after one line (`| head -1`) gets no traceback."""
+        env = child_env()
+        # buffered stdout, the default; unbuffered, a short write is dropped
+        # without an error, so there would be nothing to test
+        env.pop("PYTHONUNBUFFERED", None)
+        argv = ["-m", "chebbound.cli", "sweep", "--steps", "5000", "--format", "csv"]
+        with subprocess.Popen(
+            [sys.executable, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        ) as child:
+            # about 330 KB, more than the pipe holds, so later writes hit the closed pipe
+            assert child.stdout.readline() == b"rho,a,b,winner\n"
+            child.stdout.close()
+            err = child.stderr.read()
+            code = child.wait(timeout=120)
+        assert err == b""
+        assert code == cli.EXIT_BROKEN_PIPE == 141
 
 
 class TestStartup:

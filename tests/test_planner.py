@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from chebbound import bounds
 from chebbound.bounds import (
     _TINY,
     _finish,
@@ -162,6 +163,21 @@ class TestPlanNodes:
         assert all(n <= 30 for n in plan.budget.degrees)
         assert (plan.grid_points, plan.budget.degrees) == expected
 
+    @pytest.mark.parametrize(
+        "budget",
+        [(32, 23, 19, 16, 15, 14), (31, 23, 19, 17, 15, 14, 13)],
+        ids=["d6", "d7"],
+    )
+    def test_recursive_in_high_dimension(self, budget):
+        """Radii 2, 2.5, ...: the plan, and no axis of it can drop a degree."""
+        rho = tuple(2.0 + 0.5 * i for i in range(len(budget)))
+        plan = plan_nodes(PlanRequest(EllipseRadii(rho), 1.0, 1e-8, "RECURSIVE"))
+        assert plan.budget.degrees == budget
+        for axis in range(len(rho)):
+            lowered = list(budget)
+            lowered[axis] -= 1
+            assert selector_value("RECURSIVE", rho, lowered, 1.0) > 1e-8
+
     def test_bound_is_infeasible_below_optimum(self):
         """Shrinking any axis of the returned budget must break certification."""
         request = PlanRequest(EllipseRadii((1.6, 2.8)), 1.0, 1e-5, "COMBINED")
@@ -283,20 +299,37 @@ class TestFeasibility:
         counts = collections.Counter()
         for key, core in dict(_SELECTOR_CORES).items():
 
-            def counted(radii, degrees, key=key, core=core):
+            def counted(radii, degrees, *stop, key=key, core=core):
                 counts[key] += 1
-                return core(radii, degrees)
+                return core(radii, degrees, *stop)
 
             monkeypatch.setitem(_SELECTOR_CORES, key, counted)
         return counts
 
-    def test_matches_unscreened_decision(self, monkeypatch):
-        """B first and the first-sum screen never change a decision, on either summation path."""
-        rng = random.Random(20261019)
-        counts = self.count_core_calls(monkeypatch)
-        searched = decided = 0
-        for d, cases in ((1, 12), (2, 12), (3, 10), (4, 8), (5, 4), (6, 3)):
-            for _ in range(cases):
+    @staticmethod
+    def count_orders(monkeypatch):
+        """Count the orders each A and recursive evaluator is asked for."""
+        counts = collections.Counter()
+        for key, name in (("A", "_bound_a_evaluator"), ("RECURSIVE", "_recursive_evaluator")):
+            make = getattr(bounds, name)
+
+            def counted(*args, key=key, make=make):
+                evaluate = make(*args)
+
+                def counted_evaluate(sigma):
+                    counts[key] += 1
+                    return evaluate(sigma)
+
+                return counted_evaluate
+
+            monkeypatch.setattr(bounds, name, counted)
+        return counts
+
+    @staticmethod
+    def cases(rng):
+        """(radii, degrees, V): random draws, then the edges of the early exit."""
+        for d, count in ((1, 12), (2, 12), (3, 10), (4, 8), (5, 4), (6, 3)):
+            for _ in range(count):
                 radii = tuple(math.exp(rng.uniform(math.log(1.05), math.log(6.0))) for _ in range(d))
                 # about half the degrees put their tail past the direct-sum threshold
                 degrees = tuple(
@@ -305,37 +338,69 @@ class TestFeasibility:
                 )
                 # V in [1e-3, 1e300]; half the draws below 10
                 v = 10.0 ** rng.choice((rng.uniform(-3.0, 1.0), rng.uniform(1.0, 300.0)))
-                first_sum = _finish(*_sum_terms([_univ_core(r, n) for r, n in zip(radii, degrees)]), v)
-                for selector in ("A", "COMBINED", "RECURSIVE"):
-                    bound = unscreened_bound(selector, radii, degrees, v)
-                    targets = {
-                        bound,
-                        math.nextafter(bound, 0.0),
-                        first_sum,
-                        math.nextafter(first_sum, 0.0),
-                        first_sum * (1.0 + 1e-10),
-                        first_sum * 0.5,
-                        10.0 ** rng.uniform(-308.0, 1.0),
-                    }
-                    for eps in sorted(min(max(t, _TINY), 10.0) for t in targets):
-                        before = counts["A"] + counts["RECURSIVE"]
-                        got = _make_feasible(selector, radii, v, eps)(degrees)
-                        searched += counts["A"] + counts["RECURSIVE"] > before
-                        decided += 1
-                        assert got == (bound <= eps), (selector, radii, degrees, v, eps)
-        # both the screens and the order search decided some of the tests
-        assert 0 < searched < decided
+                yield radii, degrees, v
+        # equal radii and degrees: every order ties
+        for d in (2, 3, 4, 5):
+            for n in (3, 12, 1030):
+                yield (2.0,) * d, (n,) * d, 1.0
+        # every order's core is below the smallest normal double, and times V above it
+        for radii in ((1.5, 2.0, 3.0), (1.2, 4.0), (1.3, 1.7, 2.2, 5.0)):
+            degrees = tuple(math.ceil(738.0 / math.log(r)) for r in radii)
+            for key in ("A", "RECURSIVE"):
+                core, core_log = _SELECTOR_CORES[key](radii, degrees)
+                assert core < _TINY <= _finish(core, core_log, 1e300)
+            yield radii, degrees, 1e300
+
+    def test_matches_unscreened_decision(self, monkeypatch):
+        """B first, the first-sum screen and the early exit never change a decision, on either summation path."""
+        rng = random.Random(20261019)
+        counts = self.count_core_calls(monkeypatch)
+        orders = self.count_orders(monkeypatch)
+        searched = stopped = decided = 0
+        for radii, degrees, v in self.cases(rng):
+            first_sum = _finish(*_sum_terms([_univ_core(r, n) for r, n in zip(radii, degrees)]), v)
+            for selector in ("A", "COMBINED", "RECURSIVE"):
+                bound = unscreened_bound(selector, radii, degrees, v)
+                # the selected order search's minimum, finished
+                searched_key = "A" if selector == "COMBINED" else selector
+                winning = _finish(*_SELECTOR_CORES[searched_key](radii, degrees), v)
+                targets = {
+                    bound,
+                    math.nextafter(bound, 0.0),
+                    first_sum,
+                    math.nextafter(first_sum, 0.0),
+                    first_sum * (1.0 + 1e-10),
+                    first_sum * 0.5,
+                    winning * (1.0 + 1e-9),
+                    winning * (1.0 - 1e-9),
+                    10.0 ** rng.uniform(-308.0, 1.0),
+                }
+                for eps in sorted(min(max(t, _TINY), 10.0) for t in targets):
+                    before = counts["A"] + counts["RECURSIVE"]
+                    orders.clear()
+                    got = _make_feasible(selector, radii, v, eps)(degrees)
+                    if counts["A"] + counts["RECURSIVE"] > before:
+                        searched += 1
+                        stopped += sum(orders.values()) < math.factorial(len(radii))
+                    decided += 1
+                    assert got == (bound <= eps), (selector, radii, degrees, v, eps)
+        # the screens, a full order search and an early exit each decided some tests
+        assert 0 < stopped < searched < decided
 
     def test_order_searches_on_d4_problems(self, monkeypatch):
-        """Deterministic core-call counts: B settles passing tests, the first sum failing ones."""
-        counts = self.count_core_calls(monkeypatch)
+        """Deterministic counts: B settles passing tests, the first sum failing ones,
+        and a search ends at its first certifying order."""
+        searches = self.count_core_calls(monkeypatch)
+        orders = self.count_orders(monkeypatch)
         totals = {}
         for selector in ("COMBINED", "RECURSIVE"):
-            counts.clear()
+            searches.clear()
+            orders.clear()
             for rho, eps in self.D4:
                 plan_nodes(PlanRequest(EllipseRadii(rho), 1.0, eps, selector))
-            totals[selector] = dict(counts)
+            totals[selector] = (dict(searches), dict(orders))
+        # the orders include the full searches of the six re-certifications
         assert totals == {
-            "COMBINED": {"A": 2267, "B": 3077},
-            "RECURSIVE": {"RECURSIVE": 275},
+            "COMBINED": ({"A": 2267, "B": 3077}, {"A": 42122}),
+            "RECURSIVE": ({"RECURSIVE": 275}, {"RECURSIVE": 419}),
         }
