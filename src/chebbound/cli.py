@@ -499,6 +499,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help
         return int(exc.code) if exc.code is not None else 0
+    import io  # loaded at start-up by every interpreter
+
+    stdout = sys.stdout
+    if isinstance(getattr(stdout, "buffer", None), io.FileIO):
+        # unbuffered stdout (`python -u`): its text layer drops the rest of a
+        # short write, so a closed pipe would pass as success; a buffered
+        # writer writes everything or raises
+        sys.stdout = io.TextIOWrapper(
+            io.BufferedWriter(stdout.buffer), stdout.encoding, stdout.errors, "\n"
+        )
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
@@ -513,6 +523,10 @@ def main(argv=None) -> int:
     except ValueError as exc:  # CliUsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if sys.stdout is not stdout:
+            sys.stdout.detach().detach()  # flush, and hand the raw stream back open
+            sys.stdout = stdout
 
 
 if __name__ == "__main__":

@@ -2,19 +2,21 @@
 
 Given radii, a magnitude bound V and a target ``epsilon``, the planner
 finds the degree vector minimising the total grid size ``prod (N_i + 1)``
-subject to ``bound(N) <= epsilon`` for a chosen bound selector:
+subject to ``bound(N) <= epsilon`` for a chosen bound selector, among
+budgets whose every degree is at most ``MAX_AXIS_ORDER``:
 
-1. Per-axis lower limits ``L_i`` come from relaxing every other axis to
-   infinity, where the selected bound collapses to an explicit univariate
-   expression in ``N_i`` — no budget below ``L_i`` can ever certify.
-2. A uniform budget ``(m, ..., m)`` found by exponential + binary search
-   seeds the incumbent objective.
-3. Per-axis upper limits are the incumbent's objective caps
-   ``best // prod_{j != i} (L_j + 1) - 1``.
-4. Depth-first search in ascending lexicographic order over the resulting
-   box.  At each level, with the remaining axes at their caps, the
-   largest degree the objective floor still allows is tested first; if it
-   does not certify, the level is pruned.  Otherwise the first degree that
+1. The search box.  Axis ``i`` runs from its lower limit ``L_i`` to
+   ``min(best // prod_{j != i} (L_j + 1) - 1, MAX_AXIS_ORDER)``.  ``L_i``
+   relaxes every other axis to infinity, where the selected bound
+   collapses to an explicit univariate expression in ``N_i``, and tests it
+   against the target widened by the first-sum screen's margin, so no
+   budget below it certifies.  ``best`` is the grid size of the smallest
+   certifying uniform budget ``(m, ..., m)``, the incumbent, so no budget
+   within the ceiling and no larger than it lies outside the box.
+2. Depth-first search in ascending lexicographic order over the box.  At
+   each level, with the remaining axes at their caps, the largest degree
+   the objective floor still allows is tested first; if it does not
+   certify, the level is pruned.  Otherwise the first degree that
    certifies is found by gallop and bisection.  The last axis takes only
    that degree; earlier axes recurse from it upward, without testing
    again, until the objective floor exceeds the best.  This relies on
@@ -35,11 +37,12 @@ Objective ties prefer the lexicographically smallest budget.  The search
 evaluates bounds through the same cores as the public bound functions,
 and the returned plan re-certifies through the public entry point.
 
-Plans are exact only while the axis-order search is exhaustive, that is
-for d <= 8 (``EXHAUSTIVE_ORDER_LIMIT``).  Planning accepts up to 12 axes;
-past 8, A, COMBINED and RECURSIVE minimise over orders by pairwise-swap
-descent, whose value need not be monotone in the degrees, so the plan
-certifies the target but need not be the smallest such budget.
+Plans are exact, the smallest grid among budgets within the ceiling, only
+while the axis-order search is exhaustive, that is for d <= 8
+(``EXHAUSTIVE_ORDER_LIMIT``).  Planning accepts up to 12 axes; past 8, A,
+COMBINED and RECURSIVE minimise over orders by pairwise-swap descent, whose
+value need not be monotone in the degrees, so the plan certifies the target
+but need not be the smallest such budget.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ from .bounds import (
     bound_a,
     bound_b,
     bound_combined,
-    bound_univariate,
     recursive_bound_B_min,
 )
 from .inputs import EllipseRadii, NodeBudget, Record
@@ -78,21 +80,17 @@ __all__ = [
 
 PLAN_SELECTORS = ("A", "B", "COMBINED", "RECURSIVE")
 
-#: per-axis degree ceiling; targets needing more abort with a clear error
+#: per-axis degree ceiling: no plan exceeds it, and a target that no budget
+#: within it certifies aborts with a clear error
 MAX_AXIS_ORDER = 10**6
 
 #: the planner's search is exponential in the dimension past this point
 _MAX_PLAN_DIMENSION = 12
 
-# The infinite-axis relaxations are mathematical lower envelopes of the
-# bound, but the production evaluator rounds; accepting a hair more than
-# epsilon when deriving L_i keeps the box provably sound against the
-# evaluator's own feasibility decisions.
-_LIMIT_SLACK = 1e-11
-
 # A budget is rejected on the order-free first sum alone only when that sum
 # exceeds epsilon by this relative margin, which covers the rounding gap
-# between the log-path sums of the first sum and of the full bound.
+# between the log-path sums of the first sum and of the full bound.  The
+# per-axis lower limits relax epsilon by the same margin.
 _FLOOR_SLACK = 1e-9
 
 
@@ -208,7 +206,7 @@ def invert_univariate(rho: float, v: float, eps: float) -> int:
         raise ValueError(f"magnitude bound must be finite and > 0, got {v}")
     _check_target(eps)
     return _least(
-        lambda n: bound_univariate(rho, n, v) <= eps,
+        lambda n: _finish(*_univ_core(rho, n), v) <= eps,
         0,
         f"target {eps} needs more than {MAX_AXIS_ORDER} nodes for rho={rho}, v={v}",
     )
@@ -307,12 +305,12 @@ def _certify(request: PlanRequest, budget: NodeBudget) -> float:
 
 def _axis_lower_limit(selector: str, radii: tuple[float, ...], axis: int, v: float, eps: float) -> int:
     """Smallest degree axis ``axis`` can have in any certifying budget."""
-    relaxed = eps * (1.0 + _LIMIT_SLACK)
+    relaxed = eps * (1.0 + _FLOOR_SLACK)
     error = f"target {eps} needs more than {MAX_AXIS_ORDER} nodes along axis {axis}"
     rho = radii[axis]
 
     def univariate(n: int) -> bool:  # A and RECURSIVE share this first-sum term
-        return bound_univariate(rho, n, v) <= relaxed
+        return _finish(*_univ_core(rho, n), v) <= relaxed
 
     d = len(radii)
     log_product = -math.fsum(math.log1p(-r**-2) for r in radii)
@@ -331,9 +329,9 @@ def _axis_lower_limit(selector: str, radii: tuple[float, ...], axis: int, v: flo
 def plan_nodes(request: PlanRequest) -> Plan:
     """Minimise ``prod (N_i + 1)`` over budgets certifying the target.
 
-    Ties in the grid size resolve to the lexicographically smallest
-    budget.  Raises if any axis would need more than ``MAX_AXIS_ORDER``
-    nodes.
+    Only budgets whose every degree is at most ``MAX_AXIS_ORDER`` are
+    searched, and ties in the grid size resolve to the lexicographically
+    smallest budget.  Raises if no budget within the ceiling certifies.
     """
     radii = request.radii.values
     d = len(radii)
@@ -351,9 +349,10 @@ def plan_nodes(request: PlanRequest) -> Plan:
     )
     best = ((m_star + 1) ** d, (m_star,) * d)
 
-    # objective caps: no budget as small as the incumbent has a larger degree
+    # objective caps at the ceiling: no budget within it and as small as the
+    # incumbent has a larger degree
     upper = [
-        best[0] // math.prod(lower[j] + 1 for j in range(d) if j != i) - 1
+        min(best[0] // math.prod(lower[j] + 1 for j in range(d) if j != i) - 1, MAX_AXIS_ORDER)
         for i in range(d)
     ]
     suffix_floor = [1] * (d + 1)  # prod of (lower_j + 1) for j >= t

@@ -481,12 +481,17 @@ class TestEnvironment:
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
 
-    def test_closed_stdout_ends_quietly(self):
-        """A reader that stops after one line (`| head -1`) gets no traceback."""
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_ends_quietly(self, unbuffered):
+        """A reader that stops after one line (`| head -1`) gets no traceback.
+
+        Unbuffered (`PYTHONUNBUFFERED`), a short write to the closed pipe
+        must still end in 141, not pass as success.
+        """
         env = child_env()
-        # buffered stdout, the default; unbuffered, a short write is dropped
-        # without an error, so there would be nothing to test
         env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         argv = ["-m", "chebbound.cli", "sweep", "--steps", "5000", "--format", "csv"]
         with subprocess.Popen(
             [sys.executable, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE

@@ -128,11 +128,13 @@ class TestCoefficients:
         expected[3] = 1.0
         assert np.allclose(coeffs, expected, atol=1e-14)
 
-    def test_direct_and_dct_agree(self):
+    # a zero-order axis holds one sample, which both transforms leave as it is
+    @pytest.mark.parametrize("degrees", [(7, 9), (0, 9), (7, 0)], ids=["7x9", "0x9", "7x0"])
+    def test_direct_and_dct_agree(self, degrees):
         box = Hyperrectangle(((0.0, 2.0), (-1.0, 3.0)))
         f = lambda x: np.exp(x[..., 0]) / (4.0 - x[..., 1])
-        samples = sample_on_grid(f, box, NodeBudget((7, 9)))
-        assert samples.shape == NodeBudget((7, 9)).grid_shape
+        samples = sample_on_grid(f, box, NodeBudget(degrees))
+        assert samples.shape == NodeBudget(degrees).grid_shape
         direct = compute_coefficients(samples, method="direct")
         dct = compute_coefficients(samples, method="dct")
         assert np.allclose(direct, dct, atol=1e-13)
@@ -169,10 +171,11 @@ class TestCoefficients:
 
 
 class TestInterpolant:
-    def test_interpolates_at_nodes(self):
+    @pytest.mark.parametrize("degrees", [(6, 5), (0, 9), (7, 0)], ids=["6x5", "0x9", "7x0"])
+    def test_interpolates_at_nodes(self, degrees):
         """The interpolant reproduces the samples at every grid node."""
         box = Hyperrectangle(((-2.0, 1.0), (0.0, 1.0)))
-        budget = NodeBudget((6, 5))
+        budget = NodeBudget(degrees)
         f = lambda x: np.sin(x[..., 0]) * np.exp(x[..., 1])
         interp = interpolate(f, box, budget)
         pts = grid_points(box, budget)

@@ -25,6 +25,7 @@ from chebbound.interpolation import NodeBudget
 from chebbound.planner import (
     _SELECTOR_CORES,
     _make_feasible,
+    MAX_AXIS_ORDER,
     PLAN_SELECTORS,
     PlanRequest,
     compare_plans,
@@ -216,6 +217,43 @@ class TestPlanNodes:
             lowered[axis] -= 1
             assert selector_value(selector, rho, lowered, v) > eps
 
+    #: a target whose smallest grid overall has N_0 = 1003579, above the ceiling
+    OVER_CEILING = ((1.00002, 3.0), 1.0, 1.4108985713868176e-06)
+
+    @pytest.mark.parametrize("selector", ["B", "COMBINED"])
+    def test_plans_stay_within_the_ceiling(self, selector):
+        """The plan is the smallest grid among budgets with every degree <= 10^6."""
+        rho, v, eps = self.OVER_CEILING
+        plan = plan_nodes(PlanRequest(EllipseRadii(rho), v, eps, selector))
+        assert max(plan.budget.degrees) <= MAX_AXIS_ORDER
+
+        def least_n0(n1):  # by bisection; None when no N_0 within the ceiling certifies
+            lo, hi = 0, MAX_AXIS_ORDER
+            if selector_value(selector, rho, (hi, n1), v) > eps:
+                return None
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if selector_value(selector, rho, (mid, n1), v) <= eps:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return lo
+
+        # every budget with N_1 > n1_top has more points than the plan
+        n1_top = plan.grid_points // (least_n0(MAX_AXIS_ORDER) + 1)
+        expected = min(
+            ((n0 + 1) * (n1 + 1), (n0, n1))
+            for n1 in range(n1_top + 1)
+            if (n0 := least_n0(n1)) is not None
+        )
+        assert (plan.grid_points, plan.budget.degrees) == expected == (20988891, (999470, 20))
+        assert plan.certified_bound == selector_value(selector, rho, plan.budget.degrees, v)
+        assert plan.certified_bound <= eps
+        for axis in range(len(rho)):
+            lowered = list(plan.budget.degrees)
+            lowered[axis] -= 1
+            assert selector_value(selector, rho, lowered, v) > eps
+
 
 class TestComparePlans:
     def test_all_selectors_present(self):
@@ -267,10 +305,15 @@ class TestValidation:
 
     @pytest.mark.parametrize("selector", PLAN_SELECTORS)
     def test_unreachable_lower_limit(self, selector):
-        request = PlanRequest(EllipseRadii((2.0, 1.0000001)), 1.0, 1e-3, selector)
-        with pytest.raises(ValueError) as info:
-            plan_nodes(request)
-        assert str(info.value) == "target 0.001 needs more than 1000000 nodes along axis 1"
+        cases = [((2.0, 1.0000001), 1e-3, 1)]
+        if selector in ("A", "RECURSIVE"):  # B and COMBINED plan it within the ceiling
+            rho, _, eps = TestPlanNodes.OVER_CEILING
+            cases.append((rho, eps, 0))
+        for rho, eps, axis in cases:
+            request = PlanRequest(EllipseRadii(rho), 1.0, eps, selector)
+            with pytest.raises(ValueError) as info:
+                plan_nodes(request)
+            assert str(info.value) == f"target {eps} needs more than 1000000 nodes along axis {axis}"
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="dimension"):
