@@ -19,9 +19,9 @@ the same-order telescoping bound.
 
 The magnitude bound's numerator is printed as a sum over all ``2^D`` axis
 masks; that sum telescopes to ``1 - prod_i (1 - x_i)``, so M costs O(D) in
-any dimension (there is no D <= 20 limit).  M depends on the *set* of axes
-only, so :func:`recursive_bound_B_min` computes it once per set of leading
-axes (at most ``2^D - 1`` values) while it searches the axis orders.
+any dimension.  M depends on the *set* of axes only, so
+:func:`recursive_bound_B_min` computes it once per set of leading axes (at
+most ``2^D - 1`` values) while it searches the axis orders.
 
 All bounds are linear in ``V``, strictly decreasing in each ``rho_i``, and
 nonincreasing in each ``N_i``.  Values that mathematically underflow the
@@ -285,6 +285,8 @@ def _bound_a_evaluator(
     ``variant="literal"`` reads position-indexed degrees, so its first-sum
     terms depend on the position as well and are recomputed with the rest.
     """
+    if variant not in ("consistent", "literal"):
+        raise ValueError(f"unknown variant {variant!r}")
     d = len(radii)
     literal = variant == "literal"
     tails = [_tail(r, n, r) for r, n in zip(radii, degrees)]
@@ -338,16 +340,13 @@ def bound_a_for_sigma(inputs: BoundInputs, sigma, variant: str = "consistent") -
     mixes position-indexed degrees with axis-indexed radii.  The two agree
     whenever sigma is the identity or the budget is isotropic.
     """
-    if variant not in ("consistent", "literal"):
-        raise ValueError(f"unknown variant {variant!r}")
-    sigma = _check_sigma(sigma, inputs.dimension)
     evaluate = _bound_a_evaluator(inputs.radii.values, inputs.budget.degrees, variant)
-    core, core_log = evaluate(sigma)
+    core, core_log = evaluate(_check_sigma(sigma, inputs.dimension))
     return _finish(core, core_log, inputs.v_bound)
 
 
-def _minimise_over_orders(evaluate, radii: tuple[float, ...], d: int, stop=None):
-    """min over axis orders of evaluate(sigma) -> (value, log).
+def _minimise_over_orders(evaluate, radii: tuple[float, ...], stop=None):
+    """((value, log), sigma_star, search): min over axis orders of evaluate(sigma).
 
     Exhaustive for d <= EXHAUSTIVE_ORDER_LIMIT (ties keep the first order
     in lexicographic enumeration); above that, steepest-decay-first start
@@ -359,6 +358,7 @@ def _minimise_over_orders(evaluate, radii: tuple[float, ...], d: int, stop=None)
     result is then only an upper bound on the minimum.  The pairwise-swap
     search ignores it.
     """
+    d = len(radii)
     if d <= EXHAUSTIVE_ORDER_LIMIT:
         best = (math.inf, math.inf)
         best_sigma = tuple(range(d))
@@ -395,14 +395,6 @@ def _minimise_over_orders(evaluate, radii: tuple[float, ...], d: int, stop=None)
     return best, sigma, "HEURISTIC"
 
 
-def _bound_a_min_core(
-    radii: tuple[float, ...], degrees: tuple[int, ...], variant: str, stop=None
-):
-    """((value, log), sigma_star, search) of bound A at V=1; ``stop`` as in the search."""
-    evaluate = _bound_a_evaluator(radii, degrees, variant)
-    return _minimise_over_orders(evaluate, radii, len(radii), stop)
-
-
 def bound_a(
     inputs: BoundInputs, variant: str = "consistent"
 ) -> tuple[float, tuple[int, ...], str]:
@@ -418,10 +410,9 @@ def bound_a(
     and terms from the first changed position are recomputed, with the
     same float operations as a fresh evaluation of that order.
     """
-    if variant not in ("consistent", "literal"):
-        raise ValueError(f"unknown variant {variant!r}")
-    (core, core_log), sigma_star, search = _bound_a_min_core(
-        inputs.radii.values, inputs.budget.degrees, variant
+    radii = inputs.radii.values
+    (core, core_log), sigma_star, search = _minimise_over_orders(
+        _bound_a_evaluator(radii, inputs.budget.degrees, variant), radii
     )
     return _finish(core, core_log, inputs.v_bound), sigma_star, search
 
@@ -519,8 +510,8 @@ def m_upper_bound(inputs: BoundInputs, params: MParams | None = None) -> float:
     ``prod_{mask} x_i prod_{rest} (1 - x_i)``, with
     ``x_i = ((1 + epsilon)/rho_i)^(N_i+1)``, telescopes to
     ``1 - prod_i (1 - x_i)``, so the cost is O(D) and any dimension is
-    accepted, where enumerating the masks limited D to 20.  The result
-    depends on the set of axes only: permuting them gives the same double.
+    accepted.  The result depends on the set of axes only: permuting them
+    gives the same double.
     """
     params = params or MParams()
     core, core_log = _m_core(inputs.radii.values, inputs.budget.degrees, params.epsilon)
@@ -566,14 +557,6 @@ def _recursive_evaluator(
     return evaluate
 
 
-def _recursive_min_core(
-    radii: tuple[float, ...], degrees: tuple[int, ...], epsilon: float, stop=None
-):
-    """((value, log), sigma_star, search) of the recursive bound at V=1; ``stop`` as in the search."""
-    evaluate = _recursive_evaluator(radii, degrees, epsilon)
-    return _minimise_over_orders(evaluate, radii, len(radii), stop)
-
-
 def recursive_bound_B(inputs: BoundInputs, params: MParams | None = None) -> float:
     """Sharpened telescoping bound in the given axis order.
 
@@ -599,8 +582,9 @@ def recursive_bound_B_min(
     Same return convention and search strategy as :func:`bound_a`.
     """
     params = params or MParams()
-    (core, core_log), sigma_star, search = _recursive_min_core(
-        inputs.radii.values, inputs.budget.degrees, params.epsilon
+    radii = inputs.radii.values
+    (core, core_log), sigma_star, search = _minimise_over_orders(
+        _recursive_evaluator(radii, inputs.budget.degrees, params.epsilon), radii
     )
     return _finish(core, core_log, inputs.v_bound), sigma_star, search
 
@@ -622,7 +606,11 @@ def _scan_point(rho: float, n: int, d: int, v: float) -> tuple[float, float]:
     inputs = BoundInputs(
         EllipseRadii((rho,) * d), NodeBudget((n,) * d), v
     )
-    return bound_a(inputs)[0], bound_b(inputs)
+    # all radii and all degrees are equal, so every order has the same terms
+    # in the same positions and the minimum over orders is this value bit
+    # for bit; past 8 axes the pairwise-swap search returns it too, because
+    # no swap is strictly better
+    return bound_a_for_sigma(inputs, range(d)), bound_b(inputs)
 
 
 def crossover_scan(
@@ -636,9 +624,12 @@ def crossover_scan(
     """A and B on a log-uniform equal-radii grid, plus bisected crossovers.
 
     Scans ``rho`` over ``steps`` log-spaced points with all radii equal and
-    the budget ``(n, ..., n)``.  Wherever the winner flips between
-    consecutive grid points, bisects ``a - b`` to within 1e-6 in rho and
-    appends the crossing as a final record tagged ``winner="CROSSOVER"``.
+    the budget ``(n, ..., n)``.  A is evaluated in the identity order only:
+    with equal radii and degrees every order gives the same value, so this
+    is :func:`bound_a`'s minimum without the search.  Wherever the winner
+    flips between consecutive grid points, bisects ``a - b`` to within 1e-6
+    in rho and appends the crossing as a final record tagged
+    ``winner="CROSSOVER"``.
     """
     if not (1.0 < rho_lo < rho_hi and math.isfinite(rho_hi)):
         raise ValueError(f"need finite 1 < rho_lo < rho_hi, got {rho_lo}, {rho_hi}")

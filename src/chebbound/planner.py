@@ -54,10 +54,11 @@ from .bounds import (
     BoundInputs,
     MParams,
     _TINY,
-    _bound_a_min_core,
+    _bound_a_evaluator,
     _bound_b_core,
     _finish,
-    _recursive_min_core,
+    _minimise_over_orders,
+    _recursive_evaluator,
     _sum_terms,
     _univ_core,
     bound_a,
@@ -217,12 +218,12 @@ def invert_univariate(rho: float, v: float, eps: float) -> int:
 
 # the A and RECURSIVE cores take the order search's optional ``stop``
 _SELECTOR_CORES = {
-    "A": lambda radii, degrees, stop=None: _bound_a_min_core(
-        radii, degrees, "consistent", stop
+    "A": lambda radii, degrees, stop=None: _minimise_over_orders(
+        _bound_a_evaluator(radii, degrees, "consistent"), radii, stop
     )[0],
     "B": _bound_b_core,
-    "RECURSIVE": lambda radii, degrees, stop=None: _recursive_min_core(
-        radii, degrees, 0.0, stop
+    "RECURSIVE": lambda radii, degrees, stop=None: _minimise_over_orders(
+        _recursive_evaluator(radii, degrees, 0.0), radii, stop
     )[0],
 }
 
@@ -394,11 +395,17 @@ def plan_nodes(request: PlanRequest) -> Plan:
 
 
 def compare_plans(radii: EllipseRadii, v_bound: float, epsilon_target: float) -> PlanComparison:
-    """Plan under every selector and report grid savings relative to B."""
-    plans = {
-        sel: plan_nodes(PlanRequest(radii, v_bound, epsilon_target, sel))
-        for sel in PLAN_SELECTORS
-    }
+    """Plan under every selector and report grid savings relative to B.
+
+    A selector that cannot plan raises with ``selector <name>: `` in front.
+    """
+    plans = {}
+    for sel in PLAN_SELECTORS:
+        request = PlanRequest(radii, v_bound, epsilon_target, sel)
+        try:
+            plans[sel] = plan_nodes(request)
+        except ValueError as err:
+            raise ValueError(f"selector {sel}: {err}") from err
     base = plans["B"].grid_points
     savings = {
         sel: 1.0 - plans[sel].grid_points / base for sel in PLAN_SELECTORS

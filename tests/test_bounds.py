@@ -19,7 +19,6 @@ from chebbound.bounds import (
     BoundInputs,
     MParams,
     _bound_a_evaluator,
-    _bound_a_min_core,
     _finish,
     _minimise_over_orders,
     _winner_tag,
@@ -285,7 +284,6 @@ def _reference_a_min_core(radii, degrees, variant):
     return _minimise_over_orders(
         lambda sigma: _reference_a_sigma_core(radii, degrees, sigma, variant),
         radii,
-        len(radii),
     )
 
 
@@ -314,7 +312,8 @@ class TestBoundAPrefixReuse:
             rho, n, v = self._case(rng, d)
             inputs = make(rho, n, v)
             reference, ref_sigma, ref_search = _reference_a_min_core(rho, n, variant)
-            assert _bound_a_min_core(rho, n, variant) == (reference, ref_sigma, ref_search)
+            searched = _minimise_over_orders(_bound_a_evaluator(rho, n, variant), rho)
+            assert searched == (reference, ref_sigma, ref_search)
             ref_a = _finish(*reference, v)
             assert bound_a(inputs, variant) == (ref_a, ref_sigma, ref_search)
             if variant == "consistent":
@@ -459,8 +458,15 @@ class TestValidation:
             bound_a_for_sigma(inputs, (0,))
 
     def test_bad_variant(self):
-        with pytest.raises(ValueError, match="variant"):
-            bound_a_for_sigma(make((2.0,), (10,)), (0,), variant="verbatim")
+        inputs = make((2.0,), (10,))
+        for call in (
+            lambda: bound_a_for_sigma(inputs, (0,), variant="verbatim"),
+            lambda: bound_a(inputs, variant="verbatim"),
+            lambda: bound_combined(inputs, variant="verbatim"),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == "unknown variant 'verbatim'"
 
     def test_negative_epsilon(self):
         with pytest.raises(ValueError):

@@ -141,6 +141,15 @@ class TestPlan:
         )
         assert code == 2
 
+    def test_all_names_the_selector_that_cannot_plan(self, capsys):
+        eps = "1.4108985713868176e-06"  # B plans it; A's lower limit is past the ceiling
+        code, out, err = run(
+            capsys, "plan", "--rho", "1.00002,3", "--v", "1", "--eps", eps, "--selector", "all"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: selector A: target {eps} needs more than 1000000 nodes along axis 0\n"
+
     def test_csv_single(self, capsys):
         code, out, _ = run(
             capsys, "plan", "--rho", "2.95,9.8", "--v", "1", "--eps", "2e-4",

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from chebbound import bounds
+from chebbound import bounds, planner
 from chebbound.bounds import (
     _TINY,
     _finish,
@@ -31,6 +31,17 @@ from chebbound.planner import (
     compare_plans,
     invert_univariate,
     plan_nodes,
+)
+
+
+#: the six d=4 problems of the benchmark's plan workload
+D4_PROBLEMS = (
+    ((2.39, 3.06, 3.64, 4.91), 1e-4),
+    ((4.14, 2.43, 4.07, 2.67), 2e-5),
+    ((2.15, 1.85, 1.98, 4.71), 1e-7),
+    ((1.95, 2.0, 2.03, 1.89), 2e-8),
+    ((2.67, 3.07, 1.73, 3.47), 8e-10),
+    ((4.01, 1.84, 3.69, 2.34), 1e-12),
 )
 
 
@@ -270,6 +281,21 @@ class TestComparePlans:
             assert combined <= comparison.plans["A"].grid_points
             assert combined <= comparison.plans["B"].grid_points
 
+    @pytest.mark.parametrize(
+        "rho, eps", [*D4_PROBLEMS, ((2.95, 9.8), 2e-4)]
+    )
+    def test_combined_is_the_better_of_a_and_b(self, rho, eps):
+        """The smaller grid, ties to the lexicographically smaller budget."""
+        plans = compare_plans(EllipseRadii(rho), 1.0, eps).plans
+        key = {sel: (plans[sel].grid_points, plans[sel].budget.degrees) for sel in plans}
+        assert key["COMBINED"] == min(key["A"], key["B"])
+
+    def test_a_selector_that_cannot_plan_is_named(self):
+        rho, v, eps = TestPlanNodes.OVER_CEILING  # B plans it; A's lower limit is past the ceiling
+        with pytest.raises(ValueError) as info:
+            compare_plans(EllipseRadii(rho), v, eps)
+        assert str(info.value) == f"selector A: target {eps} needs more than 1000000 nodes along axis 0"
+
     def test_json_document(self):
         comparison = compare_plans(EllipseRadii((2.0, 2.0)), 1.0, 1e-4)
         doc = comparison.to_json_dict()
@@ -327,16 +353,6 @@ def unscreened_bound(selector, radii, degrees, v):
 
 
 class TestFeasibility:
-    #: the six d=4 problems of the benchmark's plan workload
-    D4 = (
-        ((2.39, 3.06, 3.64, 4.91), 1e-4),
-        ((4.14, 2.43, 4.07, 2.67), 2e-5),
-        ((2.15, 1.85, 1.98, 4.71), 1e-7),
-        ((1.95, 2.0, 2.03, 1.89), 2e-8),
-        ((2.67, 3.07, 1.73, 3.47), 8e-10),
-        ((4.01, 1.84, 3.69, 2.34), 1e-12),
-    )
-
     @staticmethod
     def count_core_calls(monkeypatch):
         counts = collections.Counter()
@@ -351,7 +367,11 @@ class TestFeasibility:
 
     @staticmethod
     def count_orders(monkeypatch):
-        """Count the orders each A and recursive evaluator is asked for."""
+        """Count the orders each A and recursive evaluator is asked for.
+
+        The factories are patched in ``bounds`` and in ``planner``, where the
+        planner's cores look them up.
+        """
         counts = collections.Counter()
         for key, name in (("A", "_bound_a_evaluator"), ("RECURSIVE", "_recursive_evaluator")):
             make = getattr(bounds, name)
@@ -365,7 +385,8 @@ class TestFeasibility:
 
                 return counted_evaluate
 
-            monkeypatch.setattr(bounds, name, counted)
+            for module in (bounds, planner):
+                monkeypatch.setattr(module, name, counted)
         return counts
 
     @staticmethod
@@ -439,7 +460,7 @@ class TestFeasibility:
         for selector in ("COMBINED", "RECURSIVE"):
             searches.clear()
             orders.clear()
-            for rho, eps in self.D4:
+            for rho, eps in D4_PROBLEMS:
                 plan_nodes(PlanRequest(EllipseRadii(rho), 1.0, eps, selector))
             totals[selector] = (dict(searches), dict(orders))
         # the orders include the full searches of the six re-certifications

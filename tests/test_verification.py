@@ -7,7 +7,10 @@ import highprec as hp
 import numpy as np
 import pytest
 
+from chebbound import bounds as bounds_module
 from chebbound import verification as verification_module
+from chebbound.bounds import BoundInputs, bound_a, bound_b
+from chebbound.ellipse import EllipseRadii
 from chebbound.interpolation import Hyperrectangle, NodeBudget, interpolate
 from chebbound.verification import (
     RECORD_CSV_HEADER,
@@ -508,6 +511,24 @@ class TestCrossoverScan:
             np.isclose(d.a, 2 * b.a) and np.isclose(d.b, 2 * b.b)
             for b, d in zip(base, doubled)
         )
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_a_is_the_minimum_over_orders_without_a_search(self, d, monkeypatch):
+        """Equal radii and degrees: every order ties, so the scan evaluates one."""
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("crossover_scan searched the axis orders")
+
+        steps = 12 if d <= 6 else 3
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds_module, "_minimise_over_orders", no_search)
+            # A overtakes B below rho = 1e5 up to 12 axes, so a crossing is bisected
+            records = crossover_scan(10, d, 1.1, 1e5, steps=steps)
+        assert records[-1].winner == "CROSSOVER"
+        for record in records:
+            inputs = BoundInputs(EllipseRadii((record.rho,) * d), NodeBudget((10,) * d), 1.0)
+            assert record.a == bound_a(inputs)[0]
+            assert record.b == bound_b(inputs)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="rho_lo"):
