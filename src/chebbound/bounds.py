@@ -26,12 +26,13 @@ most ``2^D - 1`` values) while it searches the axis orders.
 All bounds are linear in ``V``, strictly decreasing in each ``rho_i``, and
 nonincreasing in each ``N_i``.  Values that mathematically underflow the
 smallest normal double are reported as 0.0 and flagged in the report's
-``underflow`` field.
+``underflow`` field; values past the largest double are reported as +inf.
 
 Numerics: every term is evaluated in ordinary double arithmetic while its
-decayed power stays a normal double, and in log space below that, so
-results track the exact value to ~1e-13 relative across radii in (1, 50]
-and degrees up to several hundred.  Sums use ``math.fsum``.
+decayed power and its running products stay normal doubles, and in log
+space otherwise, so results track the exact value to ~1e-13 relative
+across radii in (1, 50] and degrees up to several hundred, and in any
+dimension.  Sums use ``math.fsum``.
 
 :func:`crossover_scan` tabulates A against B over equal radii and bisects
 where the winner flips; like every bound here it needs only the standard
@@ -73,6 +74,7 @@ _TIE_RTOL = 1e-15
 
 _TINY = 2.2250738585072014e-308  # smallest normal double
 _LOG_TINY = math.log(_TINY)
+_LOG_MAX = math.log(1.7976931348623157e308)  # of the largest double
 _LOG4 = math.log(4.0)
 _LN2 = math.log(2.0)
 
@@ -163,16 +165,25 @@ class BoundReport(Record):
 # term-level helpers: every term carries (value, log value)
 
 
+def _exp(log_value: float) -> float:
+    """exp(log_value), or +inf past the largest double instead of an error."""
+    return math.exp(log_value) if log_value <= _LOG_MAX else math.inf
+
+
 def _sum_terms(terms: list[tuple[float, float]]) -> tuple[float, float]:
     if len(terms) == 1:
         return terms[0]
-    logs = [lg for _, lg in terms]
+    values, logs = zip(*terms)
     top = max(logs)
     if top >= _DIRECT_LOG:
-        value = math.fsum(v for v, _ in terms)
-        return value, math.log(value)
+        try:
+            value = math.fsum(values)
+        except OverflowError:  # finite terms whose sum passes the largest double
+            value = math.inf
+        if value < math.inf:
+            return value, math.log(value)
     log_value = top + math.log(math.fsum(math.exp(lg - top) for lg in logs))
-    return math.exp(log_value), log_value
+    return _exp(log_value), log_value
 
 
 def _tail(rho: float, n: int, rho_denom: float) -> tuple[float, float, bool]:
@@ -197,18 +208,18 @@ def _finish(core: float, core_log: float, v: float) -> float:
     """core * v, reported as 0.0 once it drops below the smallest normal.
 
     When the core itself is subnormal (its double representation has lost
-    precision) the product is recomputed through logs, so a large v still
-    recovers an accurate normal-range result.
+    precision) or +inf, the product is recomputed through logs, so a large
+    or small v still recovers an accurate result.
     """
     if v == 0.0:
         return 0.0
     value = core * v
-    if core >= _TINY and value >= _TINY:
+    if _TINY <= core < math.inf and value >= _TINY:
         return value
     value_log = core_log + math.log(v)
     if value_log < _LOG_TINY:
         return 0.0
-    value = math.exp(value_log)
+    value = _exp(value_log)
     return value if value >= _TINY else 0.0
 
 
@@ -245,7 +256,8 @@ def _bound_b_core(
     power_logs = [-2.0 * n * math.log(r) for r, n in zip(radii, degrees)]
     log_product = -math.fsum(math.log1p(-r**-2) for r in radii)
     top = max(power_logs)
-    if top >= _DIRECT_LOG:
+    # from 2046 axes on the prefactor 2^(d/2+1) alone passes the largest double
+    if top >= _DIRECT_LOG and d < 2046:
         product = 1.0
         for r in radii:
             product /= 1.0 - r**-2
@@ -254,10 +266,13 @@ def _bound_b_core(
             for r, n, lg in zip(radii, degrees, power_logs)
         )
         value = 2.0 ** (d / 2.0 + 1.0) * math.sqrt(total * product)
-        return value, math.log(value)
+        # the product grows with every axis; past the largest double it is
+        # inf, and the log form below brings the square root back into range
+        if value < math.inf:
+            return value, math.log(value)
     log_sum = top + math.log(math.fsum(math.exp(lg - top) for lg in power_logs))
     log_value = (d / 2.0 + 1.0) * _LN2 + 0.5 * (log_sum + log_product)
-    return math.exp(log_value), log_value
+    return _exp(log_value), log_value
 
 
 def bound_b(inputs: BoundInputs) -> float:
@@ -292,8 +307,11 @@ def _bound_a_evaluator(
     tails = [_tail(r, n, r) for r, n in zip(radii, degrees)]
     firsts = [(value, log_value) for value, log_value, _ in tails]
     shrink = [(1.0 - 1.0 / r, math.log1p(-1.0 / r)) for r in radii]
+    # from p = 512 on the growth factor passes the largest double; its log
+    # comes from the exact int
     growth = [
-        (g, math.log(g)) for g in (float(2**p * (p + 2**p - 1)) for p in range(1, d))
+        (float(g) if g < 2**1024 else math.inf, math.log(g))
+        for g in (2**p * (p + 2**p - 1) for p in range(1, d))
     ]
     # at position p: the denominator of the second-sum term and its log;
     # terms[p] is the first-sum term, terms[d + p - 1] the second-sum term
@@ -322,10 +340,10 @@ def _bound_a_evaluator(
                 log_denom[p] = log_denom[p - 1] + shrink[j][1]
                 g, log_g = growth[p - 1]
                 log_value = head_log + log_g - log_denom[p]
-                if direct:
+                if direct and denom[p] >= _TINY and g < math.inf:
                     value = value * g / denom[p]
-                else:
-                    value = math.exp(log_value)
+                else:  # a factor outside the normal range
+                    value = _exp(log_value)
                 terms[d + p - 1] = (value, log_value)
         return _sum_terms(terms)
 
@@ -418,8 +436,11 @@ def bound_a(
 
 
 def _winner_tag(a: float, b: float) -> str:
-    """"A" or "B" for the smaller bound, "TIE" within ``_TIE_RTOL`` relative."""
-    if abs(a - b) <= _TIE_RTOL * max(a, b):
+    """"A" or "B" for the smaller bound, "TIE" within ``_TIE_RTOL`` relative.
+
+    A finite bound beats +inf; two infinite bounds tie.
+    """
+    if a == b or abs(a - b) <= _TIE_RTOL * max(a, b) < math.inf:
         return "TIE"
     return "A" if a < b else "B"
 
@@ -494,8 +515,12 @@ def _m_core(
         denom = 1.0
         for r in sorted(radii):
             denom *= 1.0 - s / r
-        return math.ldexp(numer / denom, d), log_m
-    return math.exp(log_m), log_m
+        if denom >= _TINY:  # the running product never left the normal range
+            try:
+                return math.ldexp(numer / denom, d), log_m
+            except OverflowError:  # past the largest double: the log form says how far
+                pass
+    return _exp(log_m), log_m
 
 
 def m_upper_bound(inputs: BoundInputs, params: MParams | None = None) -> float:
@@ -550,7 +575,7 @@ def _recursive_evaluator(
             if m_log >= _POWER_LOG and u_log >= _POWER_LOG and log_value >= _POWER_LOG:
                 value = m_value * u_value
             else:
-                value = math.exp(log_value)
+                value = _exp(log_value)
             terms.append((value, log_value))
         return _sum_terms(terms)
 

@@ -54,10 +54,28 @@ class CliUsageError(ValueError):
 # flag parsing (argparse type= callables; ValueError -> exit 2 naming the flag)
 
 
+def _list_type(parse):
+    """``parse`` as an argparse type whose ``ValueError`` message is the error shown.
+
+    argparse reports a plain ``ValueError`` as ``invalid <function name>
+    value``, which drops the reason; an ``ArgumentTypeError`` keeps it.
+    """
+
+    def parse_flag(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse_flag
+
+
+@_list_type
 def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
 
 
+@_list_type
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part, 10) for part in text.split(","))
 
@@ -83,6 +101,7 @@ def _attach_negative_lists(argv: list[str]) -> list[str]:
     return out
 
 
+@_list_type
 def _rho_range(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
@@ -90,6 +109,7 @@ def _rho_range(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
+@_list_type
 def _domain_spec(text: str):
     from .interpolation import Hyperrectangle
 
@@ -114,6 +134,23 @@ def _from_flag(flag: str, build, *args):
         return build(*args)
     except ValueError as exc:
         raise CliUsageError(f"{flag}: {exc}") from None
+
+
+def _check_finite(rows: list[dict]) -> None:
+    """Refuse records holding a float past the largest double, naming its fields.
+
+    The bounds return +inf there, which no output format can print.
+    """
+    keys = dict.fromkeys(
+        key
+        for row in rows
+        for key, value in row.items()
+        if isinstance(value, float) and not math.isfinite(value)
+    )
+    if keys:
+        raise CliUsageError(
+            f"{', '.join(keys)}: exceeds the largest double ({sys.float_info.max!r})"
+        )
 
 
 def _emit(fmt: str, doc, table_rows: list[tuple[str, object]], csv: str) -> None:
@@ -174,6 +211,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     doc = report.to_json_dict()
     doc["recursive"] = recursive
     doc["epsilon"] = args.epsilon
+    _check_finite([doc])
     note = PUBLISHED_BOUNDS.get((tuple(rho), tuple(n), v))
     if note is not None:
         doc["published_reference"] = dict(note)
@@ -320,6 +358,7 @@ def cmd_interp(args: argparse.Namespace) -> int:
         "combined": record.bound_combined,
         "winner": _winner_tag(record.bound_a, record.bound_b),
     }
+    _check_finite([doc])
     labels = {"v_estimate": "V estimate", "combined": "combined bound"}
     table = [(labels.get(key, key.replace("_", " ")), cell) for key, cell in doc.items()]
     _emit(args.format, doc, table, jsonio.csv_text(list(doc), [doc]))
@@ -386,13 +425,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _check_csv_dir(args.csv)
 
     records = crossover_scan(args.n, args.d, lo, hi, args.steps, args.v)
+    rows = [r._asdict() for r in records]
+    _check_finite(rows)
     csv = scan_to_csv(records)
     _write_csv(args.csv, csv)
 
     crossings = [r.rho for r in records if r.winner == "CROSSOVER"]
     table = [("scan points", len(records) - len(crossings)), ("crossings", len(crossings))]
     table += [(f"crossover {i + 1}", rho) for i, rho in enumerate(crossings)]
-    _emit(args.format, [r._asdict() for r in records], table, csv)
+    _emit(args.format, rows, table, csv)
     return 0
 
 

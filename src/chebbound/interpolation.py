@@ -5,7 +5,7 @@ product basis ``T_j(x) = prod_i T_{j_i}(x_i)``.  :func:`sample_on_grid`
 returns the grid values as a plain array of shape ``(N_1+1, ..., N_D+1)``,
 and :func:`compute_coefficients` reads the orders from that shape.
 Coefficients come from the trapezoid-weighted cosine sums, directly or by a
-DCT-I that must agree.
+DCT-I through ``numpy.fft`` that must agree.
 Both evaluators contract them one axis at a time with Chebyshev-Vandermonde
 rows ``T_0(u) .. T_N(u)``: per grid coordinate in :func:`evaluate_grid`, per
 point in chunks of bounded memory in :func:`evaluate`.
@@ -231,8 +231,9 @@ def compute_coefficients(samples, method: str = "direct") -> NDArray[np.float64]
         axis ``i`` has length ``N_i + 1``, which sets the order ``N_i``.
     method : {"direct", "dct"}
         "direct" evaluates the trapezoid-weighted cosine sums as written
-        (the reference path).  "dct" routes through a type-I DCT per axis
-        and must match the reference to 1e-12 relative.
+        (the reference path).  "dct" routes through a type-I DCT per axis,
+        computed with ``numpy.fft.hfft``, and must match the reference to
+        1e-12 relative.
 
     Notes
     -----
@@ -240,34 +241,23 @@ def compute_coefficients(samples, method: str = "direct") -> NDArray[np.float64]
     interpolant is constant in those variables.  The strict transform is
     only defined for ``N_i >= 1``.
     """
+    if method not in ("direct", "dct"):
+        raise ValueError(f"unknown method {method!r}")
     coeffs = np.asarray(samples, dtype=float)
-    if method == "direct":
-        for axis, n in enumerate(d - 1 for d in coeffs.shape):
-            if n == 0:
-                continue
-            mat = _axis_transform_matrix(n)
-            coeffs = np.moveaxis(np.tensordot(mat, coeffs, axes=(1, axis)), 0, axis)
-        return np.ascontiguousarray(coeffs)
-    if method == "dct":
-        return _compute_coefficients_dct(coeffs)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _compute_coefficients_dct(samples: NDArray[np.float64]) -> NDArray[np.float64]:
-    # DCT-I computes y_j = f_0 + (-1)^j f_n + 2 sum_{0<k<n} f_k cos(pi j k/n),
-    # i.e. twice the halved-endpoint sum; rescale per axis to match pref(j).
-    from scipy import fft as sp_fft
-
-    coeffs = samples
-    for axis, n in enumerate(d - 1 for d in samples.shape):
+    for axis, n in enumerate(d - 1 for d in coeffs.shape):
         if n == 0:
             continue
-        coeffs = sp_fft.dct(coeffs, type=1, axis=axis)
-        scale = np.full(n + 1, 1.0 / n)
-        scale[0] = scale[-1] = 0.5 / n
-        shape = [1] * coeffs.ndim
-        shape[axis] = n + 1
-        coeffs = coeffs * scale.reshape(shape)
+        if method == "direct":
+            mat = _axis_transform_matrix(n)
+            coeffs = np.moveaxis(np.tensordot(mat, coeffs, axes=(1, axis)), 0, axis)
+        else:
+            # the DCT-I of f, y_j = f_0 + (-1)^j f_n + 2 sum_{0<k<n} f_k cos(pi j k/n),
+            # is the real even signal of length 2n whose half spectrum is f;
+            # y_j is twice the halved-endpoint sum, so scale by pref(j) / 2
+            scale = np.full(n + 1, 1.0 / n)
+            scale[0] = scale[-1] = 0.5 / n
+            signal = np.fft.hfft(np.moveaxis(coeffs, axis, -1), 2 * n)
+            coeffs = np.moveaxis(signal[..., : n + 1] * scale, -1, axis)
     return np.ascontiguousarray(coeffs)
 
 

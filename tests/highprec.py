@@ -118,8 +118,27 @@ def m_upper_bound(rho, n, v, eps=0):
         return 2 ** mpf(d) * v * num / den
 
 
-def recursive_bound_B(rho, n, v, eps=0):
-    """Recursive bound: sum_i 4V rho_i^-Ni/(rho_i-1) + sum_k 4 M(k-1) rho_k^-Nk/(rho_k-1)."""
+def m_upper_bound_telescoped(rho, n, v, eps=0):
+    """M(D) with its mask sum written as 1 - prod_i (1 - x_i), for any D.
+
+    The sum over the nonzero masks of prod_{mask 1} x prod_{mask 0} (1 - x)
+    is 1 minus the empty mask's term, so this equals :func:`m_upper_bound`
+    without its 2^D loop.
+    """
+    with mp.workdps(DPS):
+        rho = _to_mpf(rho)
+        s = 1 + mpf(eps)
+        x = [(s / rho[i]) ** (mpf(n[i]) + 1) for i in range(len(rho))]
+        num = sum(x) + 1 - mp.fprod(1 - xi for xi in x)
+        den = mp.fprod(1 - s / r for r in rho)
+        return 2 ** mpf(len(rho)) * mpf(v) * num / den
+
+
+def recursive_bound_B(rho, n, v, eps=0, m_bound=m_upper_bound):
+    """Recursive bound: sum_i 4V rho_i^-Ni/(rho_i-1) + sum_k 4 M(k-1) rho_k^-Nk/(rho_k-1).
+
+    ``m_bound`` evaluates M; :func:`m_upper_bound_telescoped` takes any D.
+    """
     with mp.workdps(DPS):
         rho = _to_mpf(rho)
         v = mpf(v)
@@ -128,6 +147,6 @@ def recursive_bound_B(rho, n, v, eps=0):
         for i in range(d):
             total += 4 * v * rho[i] ** (-mpf(n[i])) / (rho[i] - 1)
         for k in range(2, d + 1):
-            m_prev = m_upper_bound(rho[: k - 1], n[: k - 1], v, eps)
+            m_prev = m_bound(rho[: k - 1], n[: k - 1], v, eps)
             total += 4 * m_prev * rho[k - 1] ** (-mpf(n[k - 1])) / (rho[k - 1] - 1)
         return total

@@ -7,6 +7,7 @@ Expected values were generated by the independent 60-digit evaluator in
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from mpmath import mp, mpf
@@ -391,6 +392,85 @@ class TestClosedFormM:
                     tuple(rho[i] for i in order), tuple(n[i] for i in order), v
                 )
                 assert m_upper_bound(permuted, MParams(eps)) == base
+
+
+class TestPastTheDoubleRange:
+    """Bounds whose products leave the double range: +inf or their value, never an error.
+
+    Every axis has the same radius and degree, so every order ties and the
+    oracle's identity order is also the minimum over orders.  The oracle
+    writes M's mask sum in its telescoped closed form.  ``1 - 1/rho`` and
+    ``1 - rho^-2`` subtract a rounded number from 1, which costs up to
+    ``2^-53 / (rho - 1)`` relative per axis; near rho = 1 that conditioning,
+    not the range handling, limits the agreement, so it is added to 1e-12.
+    """
+
+    CASES = [
+        # A's denominator underflows, B's running product overflows
+        (90, 1.0001, 1.0),
+        # M overflows in the recursive bound
+        (80, 1.0001, 1.0),
+        # M's denominator underflows
+        (40, 1.000000002, 1.0),
+        # A's core overflows, but not its product with V
+        (120, 1.01, 1e-10),
+        # B's running product overflows where the conditioning is below 1e-12
+        (200, 1.01, 1.0),
+    ]
+
+    @pytest.mark.parametrize("d, rho, v", CASES, ids=[f"d{c[0]}" for c in CASES])
+    def test_inf_exactly_past_the_largest_double(self, d, rho, v):
+        radii, degrees = (rho,) * d, (0,) * d
+        inputs = make(radii, degrees, v)
+        with mp.workdps(hp.DPS):
+            exact_a = hp.bound_a_for_sigma(radii, degrees, v, tuple(range(d)))
+            exact_b = hp.bound_b(radii, degrees, v)
+            exact_m = hp.m_upper_bound_telescoped(radii, degrees, v)
+            exact_r = hp.recursive_bound_B(
+                radii, degrees, v, m_bound=hp.m_upper_bound_telescoped
+            )
+        checks = [
+            (bound_a_for_sigma(inputs, range(d)), exact_a),
+            (bound_b(inputs), exact_b),
+            (m_upper_bound(inputs), exact_m),
+            (recursive_bound_B(inputs), exact_r),
+        ]
+        # the pairwise-swap order searches take seconds past these sizes
+        if d <= 90:
+            report = bound_combined(inputs)
+            checks += [
+                (bound_a(inputs)[0], exact_a),
+                (report.a_value, exact_a),
+                (report.combined, min(exact_a, exact_b)),
+            ]
+            assert report.winner == ("B" if exact_b < exact_a else "A")
+        if d <= 40:
+            checks.append((recursive_bound_B_min(inputs)[0], exact_r))
+
+        tol = 1e-12 + d * 2.0**-53 / (rho - 1.0)
+        largest = mpf(sys.float_info.max)
+        for got, exact in checks:
+            assert type(got) is float
+            if exact > largest:
+                assert got == math.inf
+            else:
+                assert got < math.inf
+                assert abs(mpf(got) - exact) / exact <= tol
+
+    def test_factors_past_the_largest_double(self):
+        """A's growth factor passes the largest double at 512 axes, B's prefactor at 2046."""
+        radii, degrees = (1e6,) * 520, (0,) * 512 + (1,) * 8
+        got = bound_a_for_sigma(make(radii, degrees), range(520))
+        with mp.workdps(hp.DPS):
+            exact = hp.bound_a_for_sigma(radii, degrees, 1.0, tuple(range(520)))
+            assert abs(mpf(got) - exact) / exact <= 1e-12
+        # with every degree 0, B is at least 2^(d/2+1)
+        assert bound_b(make((2.0,) * 2100, (0,) * 2100)) == math.inf
+
+    def test_finite_and_infinite_bounds_do_not_tie(self):
+        assert _winner_tag(math.inf, 1e300) == "B"
+        assert _winner_tag(1e300, math.inf) == "A"
+        assert _winner_tag(math.inf, math.inf) == "TIE"
 
 
 class TestProperties:

@@ -483,6 +483,70 @@ class TestUsageErrorsNameTheFlag:
             assert not target.parent.exists()
 
 
+class TestArgumentReasons:
+    """A list flag that does not parse is reported with the reason, not a helper's name."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["bound", "--rho", "abc", "--n", "1", "--v", "1"],
+                "argument --rho: could not convert string to float: 'abc'",
+            ),
+            (
+                ["bound", "--rho", "2", "--n", "1.5", "--v", "1"],
+                "argument --n: invalid literal for int() with base 10: '1.5'",
+            ),
+            (
+                ["sweep", "--rho-range", "2"],
+                "argument --rho-range: expected lo:hi, got '2'",
+            ),
+            (
+                ["interp", "--function", "exp-d1", "--n", "3", "--probe", "0.5",
+                 "--domain", "2:1"],
+                "argument --domain: axis 0: need lo < hi, got [2.0, 1.0]",
+            ),
+        ],
+        ids=["float-list", "int-list", "rho-range", "domain"],
+    )
+    def test_reason_is_shown(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == f"chebbound {argv[0]}: error: {message}"
+
+
+class TestPastTheDoubleRange:
+    """A result past the largest double exits 2 naming its fields, in every format."""
+
+    LARGE_V = {
+        "bound": (["bound", "--rho", "1.01", "--n", "0", "--v", "1e308"], "a, b, combined, recursive"),
+        "sweep": (["sweep", "--v", "1e308", "--steps", "3"], "a, b"),
+    }
+    # the denominators of A and M underflow on 40 axes; its order searches
+    # take 0.5 s, so one format shows the route
+    WIDE = (
+        ["bound", "--rho", ",".join(["1.000000002"] * 40), "--n", ",".join(["0"] * 40),
+         "--v", "1"],
+        "a, recursive",
+    )
+
+    @pytest.mark.parametrize(
+        "case, fmt",
+        [(case, fmt) for case in LARGE_V for fmt in ("table", "json", "csv")]
+        + [("wide", "table")],
+    )
+    def test_message_names_the_fields(self, capsys, tmp_path, case, fmt):
+        argv, fields = self.LARGE_V.get(case, self.WIDE)
+        csv_path = tmp_path / "out.csv"
+        extra = ["--csv", str(csv_path)] if argv[0] == "sweep" else []
+        code, out, err = run(capsys, *argv, *extra, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {fields}: exceeds the largest double (1.7976931348623157e+308)\n"
+        assert not csv_path.exists()
+
+
 class TestEnvironment:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

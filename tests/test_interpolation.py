@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -129,14 +130,23 @@ class TestCoefficients:
         assert np.allclose(coeffs, expected, atol=1e-14)
 
     # a zero-order axis holds one sample, which both transforms leave as it is
-    @pytest.mark.parametrize("degrees", [(7, 9), (0, 9), (7, 0)], ids=["7x9", "0x9", "7x0"])
-    def test_direct_and_dct_agree(self, degrees):
-        box = Hyperrectangle(((0.0, 2.0), (-1.0, 3.0)))
-        f = lambda x: np.exp(x[..., 0]) / (4.0 - x[..., 1])
+    @pytest.mark.parametrize(
+        "degrees",
+        [(7, 9), (0, 9), (7, 0), (1,), (1024,), (16, 16, 16)],
+        ids=["7x9", "0x9", "7x0", "1", "1024", "16x16x16"],
+    )
+    def test_direct_and_dct_agree(self, degrees, monkeypatch):
+        # the DCT needs numpy alone
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        # exp(x_0) / (4 - x_last), times cos of the middle coordinates
+        middle = ((-0.5, 1.5),) * (len(degrees) - 2)
+        box = Hyperrectangle(((0.0, 2.0), *middle, (-1.0, 3.0))[: len(degrees)])
+        f = lambda x: np.exp(x[..., 0]) / (4.0 - x[..., -1]) * np.cos(x[..., 1:-1]).prod(axis=-1)
         samples = sample_on_grid(f, box, NodeBudget(degrees))
         assert samples.shape == NodeBudget(degrees).grid_shape
         direct = compute_coefficients(samples, method="direct")
         dct = compute_coefficients(samples, method="dct")
+        assert dct.flags.c_contiguous
         assert np.allclose(direct, dct, atol=1e-13)
 
     def test_transform_matrix_cached_read_only(self):
