@@ -170,10 +170,14 @@ def _exp(log_value: float) -> float:
     return math.exp(log_value) if log_value <= _LOG_MAX else math.inf
 
 
-def _sum_terms(terms: list[tuple[float, float]]) -> tuple[float, float]:
-    if len(terms) == 1:
-        return terms[0]
-    values, logs = zip(*terms)
+def _sum_terms(values: list[float], logs: list[float]) -> tuple[float, float]:
+    """(value, log) of the sum of terms given as their values and their logs.
+
+    ``fsum`` and ``max`` do not depend on the order of their inputs, so
+    neither does the result.
+    """
+    if len(values) == 1:
+        return values[0], logs[0]
     top = max(logs)
     if top >= _DIRECT_LOG:
         try:
@@ -230,6 +234,56 @@ def _check_sigma(sigma, d: int) -> tuple[int, ...]:
     return sigma
 
 
+class _Factors:
+    """The factors of the bounds that the radii fix, and memos of the ones
+    the degrees fix as well.
+
+    One table serves one public bound call, or every feasibility test of
+    one plan, and is dropped with it:
+
+    * ``tail(axis, n)``: ``_tail(rho, n, rho)`` of one axis, the first-sum
+      term of A and the univariate core of the recursive bound;
+    * ``b_product``: B's ``prod_j 1 / (1 - rho_j^-2)`` and the log of it;
+    * ``shrink``: A's ``1 - 1/rho_j`` and their ``log1p`` form;
+    * ``growth``: A's level growth factors and their logs;
+    * ``m(mask, degrees, epsilon)``: M over the axes of ``mask``, whose
+      degrees are ``degrees``.
+
+    Every entry is the double the bound formulas compute in place.
+    """
+
+    def __init__(self, radii: tuple[float, ...]) -> None:
+        self.radii = radii
+        self.log_radii = [math.log(r) for r in radii]
+        product = 1.0
+        for r in radii:
+            product /= 1.0 - r**-2
+        self.b_product = product, -math.fsum(math.log1p(-r**-2) for r in radii)
+        self.shrink = [1.0 - 1.0 / r for r in radii], [math.log1p(-1.0 / r) for r in radii]
+        # from p = 512 on the growth factor passes the largest double; its log
+        # comes from the exact int
+        exact = [2**p * (p + 2**p - 1) for p in range(1, len(radii))]
+        self.growth = [float(g) if g < 2**1024 else math.inf for g in exact], [math.log(g) for g in exact]
+        self._tails: dict[tuple[int, int], tuple[float, float, bool]] = {}
+        self._m: dict[tuple, tuple[float, float]] = {}
+
+    def tail(self, axis: int, n: int) -> tuple[float, float, bool]:
+        key = (axis, n)
+        found = self._tails.get(key)
+        if found is None:
+            rho = self.radii[axis]
+            found = self._tails[key] = _tail(rho, n, rho)
+        return found
+
+    def m(self, mask: int, degrees: tuple[int, ...], epsilon: float) -> tuple[float, float]:
+        key = (mask, degrees, epsilon)
+        found = self._m.get(key)
+        if found is None:
+            radii = tuple(r for i, r in enumerate(self.radii) if mask >> i & 1)
+            found = self._m[key] = _m_core(radii, degrees, epsilon)
+        return found
+
+
 # ---------------------------------------------------------------------------
 # the bounds themselves (cores compute at V=1; V multiplies once at the end)
 
@@ -250,17 +304,15 @@ def bound_univariate(rho: float, n: int, v: float) -> float:
 
 
 def _bound_b_core(
-    radii: tuple[float, ...], degrees: tuple[int, ...]
+    radii: tuple[float, ...], degrees: tuple[int, ...], factors: _Factors | None = None
 ) -> tuple[float, float]:
+    factors = factors or _Factors(radii)
     d = len(radii)
-    power_logs = [-2.0 * n * math.log(r) for r, n in zip(radii, degrees)]
-    log_product = -math.fsum(math.log1p(-r**-2) for r in radii)
+    power_logs = [-2.0 * n * lr for lr, n in zip(factors.log_radii, degrees)]
+    product, log_product = factors.b_product
     top = max(power_logs)
     # from 2046 axes on the prefactor 2^(d/2+1) alone passes the largest double
     if top >= _DIRECT_LOG and d < 2046:
-        product = 1.0
-        for r in radii:
-            product /= 1.0 - r**-2
         total = math.fsum(
             r ** (-2 * n) if lg >= _POWER_LOG else math.exp(lg)
             for r, n, lg in zip(radii, degrees, power_logs)
@@ -282,20 +334,23 @@ def bound_b(inputs: BoundInputs) -> float:
 
 
 def _bound_a_evaluator(
-    radii: tuple[float, ...], degrees: tuple[int, ...], variant: str
+    radii: tuple[float, ...],
+    degrees: tuple[int, ...],
+    variant: str,
+    factors: _Factors | None = None,
 ):
     """evaluate(sigma) -> (value, log) of bound A at V=1 in order sigma.
 
-    The per-axis factors are computed once: the univariate tails
-    ``4 rho^-n / (rho - 1)`` with their logs and direct/log-path flags,
-    ``1 - 1/rho_j`` with its ``log1p``, and the level growth factors.
-    Term ``k`` of the second sum divides by the product of ``1 - 1/rho_j``
-    over the axes peeled before it, so each call keeps the previous order's
-    denominators and terms and recomputes them only from the first position
-    where ``sigma`` differs; lexicographic enumeration changes about 1.7
-    positions per order.  Every term takes the same float operations as a
-    fresh evaluation, so the value does not depend on the earlier calls.
-    Memory is O(d).
+    The per-axis factors come from ``factors`` (a fresh table if none is
+    given): the univariate tails ``4 rho^-n / (rho - 1)`` with their logs
+    and direct/log-path flags, ``1 - 1/rho_j`` with its ``log1p``, and the
+    level growth factors.  Term ``k`` of the second sum divides by the
+    product of ``1 - 1/rho_j`` over the axes peeled before it, so each call
+    keeps the previous order's denominators and terms and recomputes them
+    only from the first position where ``sigma`` differs; lexicographic
+    enumeration changes about 1.7 positions per order.  Every term takes
+    the same float operations as a fresh evaluation, so the value does not
+    depend on the earlier calls.  Memory is O(d).
 
     ``variant="literal"`` reads position-indexed degrees, so its first-sum
     terms depend on the position as well and are recomputed with the rest.
@@ -304,48 +359,46 @@ def _bound_a_evaluator(
         raise ValueError(f"unknown variant {variant!r}")
     d = len(radii)
     literal = variant == "literal"
-    tails = [_tail(r, n, r) for r, n in zip(radii, degrees)]
-    firsts = [(value, log_value) for value, log_value, _ in tails]
-    shrink = [(1.0 - 1.0 / r, math.log1p(-1.0 / r)) for r in radii]
-    # from p = 512 on the growth factor passes the largest double; its log
-    # comes from the exact int
-    growth = [
-        (float(g) if g < 2**1024 else math.inf, math.log(g))
-        for g in (2**p * (p + 2**p - 1) for p in range(1, d))
-    ]
-    # at position p: the denominator of the second-sum term and its log;
-    # terms[p] is the first-sum term, terms[d + p - 1] the second-sum term
+    factors = factors or _Factors(radii)
+    tails = [factors.tail(i, n) for i, n in enumerate(degrees)]
+    shrink, log_shrink = factors.shrink
+    growth, log_growth = factors.growth
+    # values[p] and logs[p] hold the first-sum term at position p, and
+    # values[d + p - 1] and logs[d + p - 1] the second-sum term; in the
+    # consistent variant the first sum runs over every axis in any order,
+    # so its terms are set once, in axis order
+    values = [t[0] for t in tails] + [0.0] * (d - 1)
+    logs = [t[1] for t in tails] + [0.0] * (d - 1)
+    # the denominator of the second-sum term at position p and its log
     denom = [1.0] * d
     log_denom = [0.0] * d
-    terms: list[tuple[float, float]] = [(0.0, 0.0)] * (2 * d - 1)
-    previous: tuple[int, ...] = ()
+    previous = (-1,) * d
 
     def evaluate(sigma: tuple[int, ...]) -> tuple[float, float]:
         nonlocal previous
         start = 0
-        while start < len(previous) and sigma[start] == previous[start]:
+        while start < d and sigma[start] == previous[start]:
             start += 1
         previous = sigma
-        for p in range(start, d):
+        if literal:  # the printed first sum mixes position and axis indices
+            for p in range(start, d):
+                s = sigma[p]
+                values[p], logs[p], _ = _tail(radii[s], degrees[p], radii[p])
+        for p in range(max(start, 1), d):
             s = sigma[p]
-            if literal:  # the printed first sum mixes position and axis indices
-                terms[p] = _tail(radii[s], degrees[p], radii[p])[:2]
-                value, head_log, direct = _tail(radii[s], degrees[p], radii[s])
-            else:
-                terms[p] = firsts[s]
-                value, head_log, direct = tails[s]
-            if p:
-                j = sigma[p - 1]  # axis joining the already-peeled denominator
-                denom[p] = denom[p - 1] * shrink[j][0]
-                log_denom[p] = log_denom[p - 1] + shrink[j][1]
-                g, log_g = growth[p - 1]
-                log_value = head_log + log_g - log_denom[p]
-                if direct and denom[p] >= _TINY and g < math.inf:
-                    value = value * g / denom[p]
-                else:  # a factor outside the normal range
-                    value = _exp(log_value)
-                terms[d + p - 1] = (value, log_value)
-        return _sum_terms(terms)
+            value, head_log, direct = factors.tail(s, degrees[p]) if literal else tails[s]
+            j = sigma[p - 1]  # axis joining the already-peeled denominator
+            denom[p] = denom[p - 1] * shrink[j]
+            log_denom[p] = log_denom[p - 1] + log_shrink[j]
+            g = growth[p - 1]
+            log_value = head_log + log_growth[p - 1] - log_denom[p]
+            if direct and denom[p] >= _TINY and g < math.inf:
+                value = value * g / denom[p]
+            else:  # a factor outside the normal range
+                value = _exp(log_value)
+            values[d + p - 1] = value
+            logs[d + p - 1] = log_value
+        return _sum_terms(values, logs)
 
     return evaluate
 
@@ -363,7 +416,27 @@ def bound_a_for_sigma(inputs: BoundInputs, sigma, variant: str = "consistent") -
     return _finish(core, core_log, inputs.v_bound)
 
 
-def _minimise_over_orders(evaluate, radii: tuple[float, ...], stop=None):
+def _orders(twin: list[int]):
+    """Every order of the axes, in lexicographic order, that puts each axis
+    after its twin (``twin[i]``, or -1 for none)."""
+    d = len(twin)
+    if max(twin, default=-1) < 0:
+        return itertools.permutations(range(d))
+
+    def extend(prefix: tuple[int, ...], placed: int):
+        if len(prefix) == d:
+            yield prefix
+            return
+        for i in range(d):
+            if not placed >> i & 1 and (twin[i] < 0 or placed >> twin[i] & 1):
+                yield from extend(prefix + (i,), placed | 1 << i)
+
+    return extend((), 0)
+
+
+def _minimise_over_orders(
+    evaluate, radii: tuple[float, ...], degrees: tuple[int, ...], stop=None
+):
     """((value, log), sigma_star, search): min over axis orders of evaluate(sigma).
 
     Exhaustive for d <= EXHAUSTIVE_ORDER_LIMIT (ties keep the first order
@@ -371,16 +444,32 @@ def _minimise_over_orders(evaluate, radii: tuple[float, ...], stop=None):
     refined by best-improvement pairwise-swap descent.  Comparison falls
     back to the logs when two values round to the same double.
 
-    ``stop(cand)``, if given, ends the exhaustive search at the first order
-    whose ``(value, log)`` satisfies it and returns that order, so the
-    result is then only an upper bound on the minimum.  The pairwise-swap
-    search ignores it.
+    Two axes with the same radius and degree are interchangeable: swapping
+    them in an order gives the same double in every bound.  So the
+    exhaustive search visits only the orders that keep each such pair in
+    index order.  The lexicographically first optimal order is one of them,
+    since the order with the pair put back in index order has the same value
+    and comes no later.  The descent skips swaps of such a pair, which
+    cannot be strictly better.
+
+    ``stop(cand)``, if given, ends either search at the first order whose
+    ``(value, log)`` satisfies it and returns that order, so the result is
+    then only an upper bound on the minimum: it is at least the exhaustive
+    minimum, and at least the minimum the descent would end with, since
+    every order the descent evaluates is.
     """
     d = len(radii)
+    keys = list(zip(radii, degrees))
+    twin = [-1] * d  # the previous axis with the same radius and degree
+    if len(set(keys)) < d:
+        last: dict[tuple[float, int], int] = {}
+        for i, key in enumerate(keys):
+            twin[i] = last.get(key, -1)
+            last[key] = i
     if d <= EXHAUSTIVE_ORDER_LIMIT:
         best = (math.inf, math.inf)
         best_sigma = tuple(range(d))
-        for sigma in itertools.permutations(range(d)):
+        for sigma in _orders(twin):
             cand = evaluate(sigma)
             if stop is not None and stop(cand):
                 return cand, sigma, "EXHAUSTIVE"
@@ -388,8 +477,14 @@ def _minimise_over_orders(evaluate, radii: tuple[float, ...], stop=None):
                 best, best_sigma = cand, sigma
         return best, best_sigma, "EXHAUSTIVE"
 
+    kind = list(range(d))  # equal for interchangeable axes
+    for i in range(d):
+        if twin[i] >= 0:
+            kind[i] = kind[twin[i]]
     sigma = tuple(sorted(range(d), key=lambda i: (-radii[i], i)))
     best = evaluate(sigma)
+    if stop is not None and stop(best):
+        return best, sigma, "HEURISTIC"
     improved = True
     while improved:
         improved = False
@@ -397,9 +492,13 @@ def _minimise_over_orders(evaluate, radii: tuple[float, ...], stop=None):
         swap_best = best
         for p in range(d - 1):
             for q in range(p + 1, d):
+                if kind[sigma[p]] == kind[sigma[q]]:
+                    continue
                 cand_sigma = list(sigma)
                 cand_sigma[p], cand_sigma[q] = cand_sigma[q], cand_sigma[p]
                 cand = evaluate(tuple(cand_sigma))
+                if stop is not None and stop(cand):
+                    return cand, tuple(cand_sigma), "HEURISTIC"
                 if cand < swap_best:
                     swap_best = cand
                     best_swap = (p, q)
@@ -429,8 +528,9 @@ def bound_a(
     same float operations as a fresh evaluation of that order.
     """
     radii = inputs.radii.values
+    degrees = inputs.budget.degrees
     (core, core_log), sigma_star, search = _minimise_over_orders(
-        _bound_a_evaluator(radii, inputs.budget.degrees, variant), radii
+        _bound_a_evaluator(radii, degrees, variant), radii, degrees
     )
     return _finish(core, core_log, inputs.v_bound), sigma_star, search
 
@@ -544,40 +644,55 @@ def m_upper_bound(inputs: BoundInputs, params: MParams | None = None) -> float:
 
 
 def _recursive_evaluator(
-    radii: tuple[float, ...], degrees: tuple[int, ...], epsilon: float
+    radii: tuple[float, ...],
+    degrees: tuple[int, ...],
+    epsilon: float,
+    factors: _Factors | None = None,
 ):
     """evaluate(sigma) -> (value, log) of the recursive bound at V=1 in order sigma.
 
-    The univariate cores are computed once, and M once per set of leading
-    axes, on first use: the last axis of an order is never a leading axis,
-    so only it may have ``rho <= 1 + epsilon``.
+    The univariate cores come from ``factors`` (a fresh table if none is
+    given), and M from its memo, once per set of leading axes and their
+    degrees, on first use: the last axis of an order is never a leading
+    axis, so only it may have ``rho <= 1 + epsilon``.  Level ``k`` depends
+    on the set of the first ``k`` axes and on the axis at position ``k``, so
+    like :func:`_bound_a_evaluator` each call keeps the previous order's
+    levels and recomputes them only from the first position where ``sigma``
+    differs, with the same float operations as a fresh evaluation.
     """
     d = len(radii)
-    univ = [_univ_core(r, n) for r, n in zip(radii, degrees)]
+    factors = factors or _Factors(radii)
+    tails = [factors.tail(i, n) for i, n in enumerate(degrees)]
     m_by_set: dict[int, tuple[float, float]] = {}
+    # the d univariate cores, in axis order, then level k at d + k - 1
+    values = [t[0] for t in tails] + [0.0] * (d - 1)
+    logs = [t[1] for t in tails] + [0.0] * (d - 1)
+    leading = [0] * d  # bit set of the axes before level k
+    previous = (-1,) * d
 
     def evaluate(sigma: tuple[int, ...]) -> tuple[float, float]:
-        terms = list(univ)
-        leading = 0  # bit set of the axes before level k
-        for k in range(1, d):
-            leading |= 1 << sigma[k - 1]
-            m = m_by_set.get(leading)
+        nonlocal previous
+        start = 0
+        while start < d and sigma[start] == previous[start]:
+            start += 1
+        previous = sigma
+        for k in range(max(start, 1), d):
+            mask = leading[k] = leading[k - 1] | 1 << sigma[k - 1]
+            m = m_by_set.get(mask)
             if m is None:
-                axes = [i for i in range(d) if leading >> i & 1]
-                m = m_by_set[leading] = _m_core(
-                    tuple(radii[i] for i in axes),
-                    tuple(degrees[i] for i in axes),
-                    epsilon,
+                m = m_by_set[mask] = factors.m(
+                    mask, tuple(n for i, n in enumerate(degrees) if mask >> i & 1), epsilon
                 )
             m_value, m_log = m
-            u_value, u_log = univ[sigma[k]]
+            u_value, u_log, _ = tails[sigma[k]]
             log_value = m_log + u_log
             if m_log >= _POWER_LOG and u_log >= _POWER_LOG and log_value >= _POWER_LOG:
                 value = m_value * u_value
             else:
                 value = _exp(log_value)
-            terms.append((value, log_value))
-        return _sum_terms(terms)
+            values[d + k - 1] = value
+            logs[d + k - 1] = log_value
+        return _sum_terms(values, logs)
 
     return evaluate
 
@@ -608,8 +723,9 @@ def recursive_bound_B_min(
     """
     params = params or MParams()
     radii = inputs.radii.values
+    degrees = inputs.budget.degrees
     (core, core_log), sigma_star, search = _minimise_over_orders(
-        _recursive_evaluator(radii, inputs.budget.degrees, params.epsilon), radii
+        _recursive_evaluator(radii, degrees, params.epsilon), radii, degrees
     )
     return _finish(core, core_log, inputs.v_bound), sigma_star, search
 

@@ -29,9 +29,10 @@ since the minimum certifies when either bound does; then A, COMBINED and
 RECURSIVE reject a budget whose order-free first sum
 ``V sum_i 4 rho_i^-N_i / (rho_i - 1)`` already exceeds the target; only the
 rest pay for the search over axis orders.  The planner asks only whether
-some order certifies, so up to 8 axes that search ends at the first order
-whose bound is below the target by a relative margin of 1e-9; a failing
-test still visits every order.
+some order certifies, so that search ends at the first order whose bound is
+below the target by a relative margin of 1e-9; a failing test still visits
+every order, or past 8 axes every order of the descent.  All tests of one
+plan share one table of the bounds' factors (``bounds._Factors``).
 
 Objective ties prefer the lexicographically smallest budget.  The search
 evaluates bounds through the same cores as the public bound functions,
@@ -42,7 +43,8 @@ while the axis-order search is exhaustive, that is for d <= 8
 (``EXHAUSTIVE_ORDER_LIMIT``).  Planning accepts up to 12 axes; past 8, A,
 COMBINED and RECURSIVE minimise over orders by pairwise-swap descent, whose
 value need not be monotone in the degrees, so the plan certifies the target
-but need not be the smallest such budget.
+but need not be the smallest such budget.  The descent's early exit does
+not change that plan: a test decides as the full descent would.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .bounds import (
     BoundInputs,
     MParams,
     _TINY,
+    _Factors,
     _bound_a_evaluator,
     _bound_b_core,
     _finish,
@@ -216,14 +219,15 @@ def invert_univariate(rho: float, v: float, eps: float) -> int:
 # ---------------------------------------------------------------------------
 # feasibility tests (the public bounds' own cores at V=1, times V)
 
-# the A and RECURSIVE cores take the order search's optional ``stop``
+# every core takes an optional factor table; the A and RECURSIVE cores also
+# take the order search's optional ``stop``
 _SELECTOR_CORES = {
-    "A": lambda radii, degrees, stop=None: _minimise_over_orders(
-        _bound_a_evaluator(radii, degrees, "consistent"), radii, stop
+    "A": lambda radii, degrees, factors=None, stop=None: _minimise_over_orders(
+        _bound_a_evaluator(radii, degrees, "consistent", factors), radii, degrees, stop
     )[0],
     "B": _bound_b_core,
-    "RECURSIVE": lambda radii, degrees, stop=None: _minimise_over_orders(
-        _recursive_evaluator(radii, degrees, 0.0), radii, stop
+    "RECURSIVE": lambda radii, degrees, factors=None, stop=None: _minimise_over_orders(
+        _recursive_evaluator(radii, degrees, 0.0, factors), radii, degrees, stop
     )[0],
 }
 
@@ -244,6 +248,11 @@ def _make_feasible(selector: str, radii: tuple[float, ...], v: float, eps: float
        a normal double at most ``eps * (1 - _FLOOR_SLACK)``: that order
        certifies, so the minimum over orders does too.
 
+    Every test reads one factor table (``bounds._Factors``), built here
+    for the radii: the tails, B's product, A's shrink and growth factors,
+    and M per set of axes and their degrees.  It lives as long as
+    ``feasible``, that is for one plan.
+
     Step 2 is exact.  The floor's terms are the same doubles as the first
     d terms of A (consistent variant) and of the recursive bound in every
     order, and every other term is >= 0.  When the floor sums directly,
@@ -258,17 +267,19 @@ def _make_feasible(selector: str, radii: tuple[float, ...], v: float, eps: float
 
     Step 3's early exit is exact too: the decision is still
     ``_finish(min) <= eps``.  The minimum over orders is at most the
-    stopping core.  If ``_finish`` multiplies directly, ``_finish(min)`` is
-    the rounded ``min * V``, at most the rounded ``core * V``, which is
-    below ``eps``.  If it goes through logs (a subnormal core or product),
-    ``_finish(min)`` is within about 1e-13 relative of the exact product,
-    itself at most ``core * V``; the margin covers that gap.  A candidate
-    inside the margin does not stop the search, which then decides on the
-    minimum as before.
+    stopping core; past 8 axes, the descent's final minimum is at most
+    every order it evaluates, the stopping one included.  If ``_finish``
+    multiplies directly, ``_finish(min)`` is the rounded ``min * V``, at
+    most the rounded ``core * V``, which is below ``eps``.  If it goes
+    through logs (a subnormal core or product), ``_finish(min)`` is within
+    about 1e-13 relative of the exact product, itself at most ``core * V``;
+    the margin covers that gap.  A candidate inside the margin does not
+    stop the search, which then decides on the minimum as before.
     """
+    factors = _Factors(radii)
     b_core = _SELECTOR_CORES["B"]
     if selector == "B":
-        return lambda degrees: _finish(*b_core(radii, degrees), v) <= eps
+        return lambda degrees: _finish(*b_core(radii, degrees, factors), v) <= eps
     core = _SELECTOR_CORES["A" if selector == "COMBINED" else selector]
     combined = selector == "COMBINED"
     screen = eps * (1.0 + _FLOOR_SLACK)
@@ -279,12 +290,13 @@ def _make_feasible(selector: str, radii: tuple[float, ...], v: float, eps: float
         return cand[0] >= _TINY and _TINY <= value <= certain
 
     def feasible(degrees: tuple[int, ...]) -> bool:
-        if combined and _finish(*b_core(radii, degrees), v) <= eps:
+        if combined and _finish(*b_core(radii, degrees, factors), v) <= eps:
             return True
-        first_sum = _sum_terms([_univ_core(r, n) for r, n in zip(radii, degrees)])
+        tails = [factors.tail(i, n) for i, n in enumerate(degrees)]
+        first_sum = _sum_terms([t[0] for t in tails], [t[1] for t in tails])
         if _finish(*first_sum, v) > screen:
             return False
-        return _finish(*core(radii, degrees, stop), v) <= eps
+        return _finish(*core(radii, degrees, factors, stop), v) <= eps
 
     return feasible
 

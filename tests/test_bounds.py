@@ -21,7 +21,9 @@ from chebbound.bounds import (
     MParams,
     _bound_a_evaluator,
     _finish,
+    _m_core,
     _minimise_over_orders,
+    _recursive_evaluator,
     _winner_tag,
     bound_a,
     bound_a_for_sigma,
@@ -217,9 +219,11 @@ class TestOrderSearch:
         assert sorted(sigma) == [0, 1]
 
 
-# Bound A evaluated afresh for every order, term by term: a verbatim copy of
-# the formula before the order search reused prefix denominators.  The
-# prefix-sharing evaluator must reproduce it bit for bit.
+# Bound A and the recursive bound evaluated afresh for every order, term by
+# term, and searched over every order: verbatim copies of the formulas before
+# the evaluators reused prefix terms, and of the search before it skipped
+# interchangeable axes.  The evaluators and the search must reproduce them bit
+# for bit.
 
 
 def _reference_sum_terms(terms):
@@ -281,10 +285,67 @@ def _reference_a_sigma_core(radii, degrees, sigma, variant):
     return _reference_sum_terms(terms)
 
 
-def _reference_a_min_core(radii, degrees, variant):
-    return _minimise_over_orders(
-        lambda sigma: _reference_a_sigma_core(radii, degrees, sigma, variant),
-        radii,
+def _reference_recursive_sigma_core(radii, degrees, sigma, epsilon):
+    d = len(radii)
+    terms = [_reference_univ_core(r, n) for r, n in zip(radii, degrees)]
+    for k in range(1, d):
+        axes = sorted(sigma[:k])
+        m_value, m_log = _m_core(
+            tuple(radii[i] for i in axes), tuple(degrees[i] for i in axes), epsilon
+        )
+        u_value, u_log = _reference_univ_core(radii[sigma[k]], degrees[sigma[k]])
+        log_value = m_log + u_log
+        if m_log >= _POWER_LOG and u_log >= _POWER_LOG and log_value >= _POWER_LOG:
+            value = m_value * u_value
+        else:
+            value = math.exp(log_value)
+        terms.append((value, log_value))
+    return _reference_sum_terms(terms)
+
+
+def _reference_minimise(evaluate, radii):
+    d = len(radii)
+    if d <= 8:
+        best = (math.inf, math.inf)
+        best_sigma = tuple(range(d))
+        for sigma in itertools.permutations(range(d)):
+            cand = evaluate(sigma)
+            if cand < best:
+                best, best_sigma = cand, sigma
+        return best, best_sigma, "EXHAUSTIVE"
+
+    sigma = tuple(sorted(range(d), key=lambda i: (-radii[i], i)))
+    best = evaluate(sigma)
+    improved = True
+    while improved:
+        improved = False
+        best_swap = None
+        swap_best = best
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                cand_sigma = list(sigma)
+                cand_sigma[p], cand_sigma[q] = cand_sigma[q], cand_sigma[p]
+                cand = evaluate(tuple(cand_sigma))
+                if cand < swap_best:
+                    swap_best = cand
+                    best_swap = (p, q)
+        if best_swap is not None:
+            p, q = best_swap
+            cand_sigma = list(sigma)
+            cand_sigma[p], cand_sigma[q] = cand_sigma[q], cand_sigma[p]
+            sigma = tuple(cand_sigma)
+            best = swap_best
+            improved = True
+    return best, sigma, "HEURISTIC"
+
+
+def _reference_min_core(radii, degrees, variant):
+    if variant == "recursive":
+        return _reference_minimise(
+            lambda sigma: _reference_recursive_sigma_core(radii, degrees, sigma, 0.0), radii
+        )
+    return _reference_minimise(
+        lambda sigma: _reference_a_sigma_core(radii, degrees, sigma, variant), radii
     )
 
 
@@ -305,28 +366,95 @@ class TestBoundAPrefixReuse:
         v = 10.0 ** rng.uniform(-300.0, 3.0)
         return rho, n, v
 
-    @pytest.mark.parametrize("variant", ["consistent", "literal"])
+    @pytest.mark.parametrize("variant", ["consistent", "literal", "recursive"])
     @pytest.mark.parametrize("d", sorted(CASES))
     def test_bit_identical_to_fresh_evaluation(self, d, variant):
         rng = random.Random(1000 * d + len(variant))
         for _ in range(self.CASES[d]):
             rho, n, v = self._case(rng, d)
             inputs = make(rho, n, v)
-            reference, ref_sigma, ref_search = _reference_a_min_core(rho, n, variant)
-            searched = _minimise_over_orders(_bound_a_evaluator(rho, n, variant), rho)
+            reference, ref_sigma, ref_search = _reference_min_core(rho, n, variant)
+            ref_value = _finish(*reference, v)
+            if variant == "recursive":
+                evaluate = _recursive_evaluator(rho, n, 0.0)
+                assert recursive_bound_B_min(inputs) == (ref_value, ref_sigma, ref_search)
+            else:
+                evaluate = _bound_a_evaluator(rho, n, variant)
+                assert bound_a(inputs, variant) == (ref_value, ref_sigma, ref_search)
+            searched = _minimise_over_orders(evaluate, rho, n)
             assert searched == (reference, ref_sigma, ref_search)
-            ref_a = _finish(*reference, v)
-            assert bound_a(inputs, variant) == (ref_a, ref_sigma, ref_search)
             if variant == "consistent":
-                assert bound_combined(inputs).winner == _winner_tag(ref_a, bound_b(inputs))
+                assert bound_combined(inputs).winner == _winner_tag(ref_value, bound_b(inputs))
 
             # random orders, one at a time and through one evaluator in turn
-            evaluate = _bound_a_evaluator(rho, n, variant)
             for _ in range(12):
                 sigma = tuple(rng.sample(range(d), d))
-                expected = _reference_a_sigma_core(rho, n, sigma, variant)
+                if variant == "recursive":
+                    expected = _reference_recursive_sigma_core(rho, n, sigma, 0.0)
+                    at_sigma = make(tuple(rho[s] for s in sigma), tuple(n[s] for s in sigma), v)
+                    assert recursive_bound_B(at_sigma) == _finish(*expected, v)
+                else:
+                    expected = _reference_a_sigma_core(rho, n, sigma, variant)
+                    assert bound_a_for_sigma(inputs, sigma, variant) == _finish(*expected, v)
                 assert evaluate(sigma) == expected
-                assert bound_a_for_sigma(inputs, sigma, variant) == _finish(*expected, v)
+
+
+class TestInterchangeableAxes:
+    """Axes with the same radius and degree are searched once."""
+
+    @staticmethod
+    def _case(rng, d):
+        """Radii and degrees with at least one repeated (radius, degree) pair;
+        some further axes share only the radius."""
+        kinds = [
+            (1.05 * (12.0 / 1.05) ** rng.random(), rng.randint(0, 40))
+            for _ in range(rng.randint(1, d - 1))
+        ]
+        axes = kinds + [rng.choice(kinds)]
+        while len(axes) < d:
+            rho, n = rng.choice(kinds)
+            axes.append((rho, n if rng.random() < 0.5 else rng.randint(0, 40)))
+        rng.shuffle(axes)
+        return tuple(r for r, _ in axes), tuple(n for _, n in axes)
+
+    def test_same_result_as_the_full_search(self):
+        """Value, order and search label as the search over every order gives them."""
+        rng = random.Random(0x7A1)
+        for d in (2, 3, 4, 5, 6, 7) * 8:
+            rho, n = self._case(rng, d)
+            inputs = make(rho, n, 10.0 ** rng.uniform(-3.0, 3.0))
+            for variant in ("consistent", "literal", "recursive"):
+                if variant == "recursive":
+                    got = recursive_bound_B_min(inputs)
+                    evaluate = _recursive_evaluator(rho, n, 0.0)
+                else:
+                    got = bound_a(inputs, variant)
+                    evaluate = _bound_a_evaluator(rho, n, variant)
+                core, sigma, search = _reference_minimise(evaluate, rho)
+                assert got == (_finish(*core, inputs.v_bound), sigma, search), (rho, n, variant)
+
+    def test_equal_axes_cost_one_order(self):
+        counted = []
+        evaluate = _recursive_evaluator((2.0,) * 8, (5,) * 8, 0.0)
+        _minimise_over_orders(lambda sigma: counted.append(sigma) or evaluate(sigma), (2.0,) * 8, (5,) * 8)
+        assert counted == [tuple(range(8))]
+        # two kinds of four axes: 8! / (4! 4!) orders, each with its kinds' axes in index order
+        rho, n = (2.0, 3.0) * 4, (5,) * 8
+        counted.clear()
+        evaluate = _recursive_evaluator(rho, n, 0.0)
+        _minimise_over_orders(lambda sigma: counted.append(sigma) or evaluate(sigma), rho, n)
+        assert len(counted) == 70 and counted == sorted(counted)
+        for sigma in counted:
+            assert [s for s in sigma if s % 2 == 0] == [0, 2, 4, 6]
+
+    def test_ninety_equal_axes_evaluate_one_order(self):
+        """The descent makes no swap of two interchangeable axes."""
+        counted = []
+        rho, n = (1.0001,) * 90, (0,) * 90
+        evaluate = _recursive_evaluator(rho, n, 0.0)
+        result = _minimise_over_orders(lambda sigma: counted.append(sigma) or evaluate(sigma), rho, n)
+        assert counted == [tuple(range(90))]
+        assert result[1:] == (tuple(range(90)), "HEURISTIC")
 
 
 def _random_m_case(rng: random.Random, d: int):

@@ -422,7 +422,8 @@ class TestFeasibility:
         orders = self.count_orders(monkeypatch)
         searched = stopped = decided = 0
         for radii, degrees, v in self.cases(rng):
-            first_sum = _finish(*_sum_terms([_univ_core(r, n) for r, n in zip(radii, degrees)]), v)
+            cores = [_univ_core(r, n) for r, n in zip(radii, degrees)]
+            first_sum = _finish(*_sum_terms([c[0] for c in cores], [c[1] for c in cores]), v)
             for selector in ("A", "COMBINED", "RECURSIVE"):
                 bound = unscreened_bound(selector, radii, degrees, v)
                 # the selected order search's minimum, finished
@@ -468,3 +469,86 @@ class TestFeasibility:
             "COMBINED": ({"A": 2267, "B": 3077}, {"A": 42122}),
             "RECURSIVE": ({"RECURSIVE": 275}, {"RECURSIVE": 419}),
         }
+
+
+class TestFactorTables:
+    """One factor table per plan: shared by its tests, never between plans."""
+
+    def test_plans_in_a_row_equal_fresh_plans(self, monkeypatch):
+        """Plans run one after another equal plans whose every test builds its factors afresh."""
+        requests = [
+            PlanRequest(EllipseRadii(rho), 1.0, eps, selector)
+            for rho, eps in D4_PROBLEMS[:4]
+            for selector in ("COMBINED", "RECURSIVE")
+        ]
+        in_a_row = [plan_nodes(r) for r in requests + requests[::-1]]
+
+        class Unmemoised(bounds._Factors):
+            def tail(self, axis, n):
+                return bounds._tail(self.radii[axis], n, self.radii[axis])
+
+            def m(self, mask, degrees, epsilon):
+                radii = tuple(r for i, r in enumerate(self.radii) if mask >> i & 1)
+                return bounds._m_core(radii, degrees, epsilon)
+
+        monkeypatch.setattr(planner, "_Factors", Unmemoised)
+        fresh = [plan_nodes(r) for r in requests]
+        assert in_a_row == fresh + fresh[::-1]
+
+    def test_m_once_per_set_and_degrees_in_a_d8_plan(self, monkeypatch):
+        """Deterministic count: M is computed once per set of leading axes and
+        their degrees in the plan, and once per set in the re-certification."""
+        calls = collections.Counter()
+        m_core = bounds._m_core
+
+        def counted(radii, degrees, epsilon):
+            calls[radii, degrees] += 1
+            return m_core(radii, degrees, epsilon)
+
+        monkeypatch.setattr(bounds, "_m_core", counted)
+        rho = tuple(2.0 + 0.5 * i for i in range(8))
+        plan = plan_nodes(PlanRequest(EllipseRadii(rho), 1.0, 1e-8, "RECURSIVE"))
+        assert plan.budget.degrees == (32, 23, 19, 17, 15, 14, 13, 12)
+        assert sum(calls.values()) == 36229
+        assert max(calls.values()) == 2
+
+
+class TestStopPastEightAxes:
+    """The pairwise-swap search (d > 8) ends at the first order that certifies."""
+
+    @staticmethod
+    def without_stop(monkeypatch):
+        for key in ("A", "RECURSIVE"):
+            core = _SELECTOR_CORES[key]
+            monkeypatch.setitem(
+                _SELECTOR_CORES,
+                key,
+                lambda radii, degrees, factors=None, stop=None, core=core: core(radii, degrees, factors),
+            )
+
+    def test_matches_unscreened_decision(self):
+        rng = random.Random(0xD9)
+        for d in (9, 10) * 6:
+            radii = tuple(math.exp(rng.uniform(math.log(1.2), math.log(8.0))) for _ in range(d))
+            degrees = tuple(rng.randint(0, 30) for _ in radii)
+            v = 10.0 ** rng.uniform(-2.0, 2.0)
+            for selector in ("A", "COMBINED", "RECURSIVE"):
+                bound = unscreened_bound(selector, radii, degrees, v)
+                for eps in (bound, math.nextafter(bound, 0.0), bound * (1.0 + 1e-8), bound * 2.0):
+                    eps = min(max(eps, _TINY), 10.0)
+                    got = _make_feasible(selector, radii, v, eps)(degrees)
+                    assert got == (bound <= eps), (selector, radii, degrees, v, eps)
+
+    @pytest.mark.parametrize(
+        "rho, eps",
+        [
+            ((12.0, 14.0, 16.0, 18.0, 20.0, 22.0, 24.0, 26.0, 28.0), 1e-4),
+            ((9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0), 1e-8),
+            ((20.0,) * 5 + (30.0,) * 4, 1e-6),
+        ],
+    )
+    def test_d9_plans_equal_the_stop_free_search(self, rho, eps, monkeypatch):
+        request = PlanRequest(EllipseRadii(rho), 1.0, eps, "RECURSIVE")
+        plan = plan_nodes(request)
+        self.without_stop(monkeypatch)
+        assert plan_nodes(request) == plan
