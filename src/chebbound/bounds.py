@@ -249,7 +249,8 @@ class _Factors:
     * ``m(mask, degrees, epsilon)``: M over the axes of ``mask``, whose
       degrees are ``degrees``.
 
-    Every entry is the double the bound formulas compute in place.
+    Each entry takes the float operations the formulas take, so reading it
+    from the table changes no value.
     """
 
     def __init__(self, radii: tuple[float, ...]) -> None:
@@ -384,7 +385,7 @@ def _bound_a_evaluator(
             for p in range(start, d):
                 s = sigma[p]
                 values[p], logs[p], _ = _tail(radii[s], degrees[p], radii[p])
-        for p in range(max(start, 1), d):
+        for p in range(start or 1, d):
             s = sigma[p]
             value, head_log, direct = factors.tail(s, degrees[p]) if literal else tails[s]
             j = sigma[p - 1]  # axis joining the already-peeled denominator
@@ -676,7 +677,7 @@ def _recursive_evaluator(
         while start < d and sigma[start] == previous[start]:
             start += 1
         previous = sigma
-        for k in range(max(start, 1), d):
+        for k in range(start or 1, d):
             mask = leading[k] = leading[k - 1] | 1 << sigma[k - 1]
             m = m_by_set.get(mask)
             if m is None:
