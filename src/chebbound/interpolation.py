@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -199,15 +198,14 @@ def sample_on_grid(
     return values
 
 
-@lru_cache(maxsize=32)
 def _axis_transform_matrix(n: int) -> NDArray[np.float64]:
     """The order-n coefficient transform: C[j, k] = pref(j) * w(k) * cos(pi j k / n).
 
     ``w`` halves the first and last summand; ``pref`` is 2/n for interior j
     and 1/n at j in {0, n}.  The cosine argument is reduced with the exact
     integer period 2n before calling cos, so entries are accurate to ~1 ulp
-    even for large j*k.  Cached per n and returned read-only, so no caller
-    can alter the matrix another caller receives.
+    even for large j*k.  Built afresh per call: no matrix outlives the
+    transform that uses it.
     """
     j = np.arange(n + 1)
     jk = np.outer(j, j) % (2 * n)
@@ -216,9 +214,7 @@ def _axis_transform_matrix(n: int) -> NDArray[np.float64]:
     weights[0] = weights[-1] = 0.5
     pref = np.full(n + 1, 2.0 / n)
     pref[0] = pref[-1] = 1.0 / n
-    transform = pref[:, None] * mat * weights[None, :]
-    transform.setflags(write=False)
-    return transform
+    return pref[:, None] * mat * weights[None, :]
 
 
 def compute_coefficients(samples, method: str = "direct") -> NDArray[np.float64]:

@@ -7,12 +7,13 @@ budgets whose every degree is at most ``MAX_AXIS_ORDER``:
 
 1. The search box.  Axis ``i`` runs from its lower limit ``L_i`` to
    ``min(best // prod_{j != i} (L_j + 1) - 1, MAX_AXIS_ORDER)``.  ``L_i``
-   relaxes every other axis to infinity, where the selected bound
-   collapses to an explicit univariate expression in ``N_i``, and tests it
-   against the target widened by the first-sum screen's margin, so no
-   budget below it certifies.  ``best`` is the grid size of the smallest
-   certifying uniform budget ``(m, ..., m)``, the incumbent, so no budget
-   within the ceiling and no larger than it lies outside the box.
+   relaxes every other axis to infinity, where each of the selector's
+   bounds collapses to an explicit univariate expression in ``N_i``, and
+   takes the least degree any of them allows against the target widened by
+   the first-sum screen's margin, so no budget below it certifies.
+   ``best`` is the grid size of the smallest certifying uniform budget
+   ``(m, ..., m)``, the incumbent, so no budget within the ceiling and no
+   larger than it lies outside the box.
 2. Depth-first search in ascending lexicographic order over the box.  At
    each level, with the remaining axes at their caps, the largest degree
    the objective floor still allows is tested first; if it does not
@@ -23,20 +24,25 @@ budgets whose every degree is at most ``MAX_AXIS_ORDER``:
    feasibility being monotone in each degree, as the bounds are
    nonincreasing in every ``N_i``.
 
-Each test "does this budget certify epsilon?" is decided from the cheapest
-sufficient evidence (``_make_feasible``): under COMBINED, B is tried first,
-since the minimum certifies when either bound does; then A, COMBINED and
+Each selector is the set of bounds it certifies with (``_SELECTOR_BOUNDS``):
+A, B and RECURSIVE one each, COMBINED both of the paper's bounds, since
+their minimum certifies when either does.  A selector certifies when any of
+its bounds does, cheapest first, so COMBINED tries B, which costs O(d),
+before A.  Each bound's test ("does this budget certify epsilon?") is
+decided from the cheapest sufficient evidence (``_make_feasible``): A and
 RECURSIVE reject a budget whose order-free first sum
 ``V sum_i 4 rho_i^-N_i / (rho_i - 1)`` already exceeds the target; only the
 rest pay for the search over axis orders.  The planner asks only whether
 some order certifies, so that search ends at the first order whose bound is
 below the target by a relative margin of 1e-9; a failing test still visits
-every order, or past 8 axes every order of the descent.  All tests of one
-plan share one table of the bounds' factors (``bounds._Factors``).
+every order, or past 8 axes every order of the descent.  The tests and the
+search box of one plan share one table of the bounds' factors
+(``bounds._Factors``).
 
 Objective ties prefer the lexicographically smallest budget.  The search
 evaluates bounds through the same cores as the public bound functions,
-and the returned plan re-certifies through the public entry point.
+and the returned plan re-certifies through the public entry points: its
+value is the least of its bounds' public values.
 
 Plans are exact, the smallest grid among budgets within the ceiling, only
 while the axis-order search is exhaustive, that is for d <= 8
@@ -63,10 +69,8 @@ from .bounds import (
     _minimise_over_orders,
     _recursive_evaluator,
     _sum_terms,
-    _univ_core,
     bound_a,
     bound_b,
-    bound_combined,
     recursive_bound_B_min,
 )
 from .inputs import EllipseRadii, NodeBudget, Record
@@ -210,14 +214,19 @@ def invert_univariate(rho: float, v: float, eps: float) -> int:
         raise ValueError(f"magnitude bound must be finite and > 0, got {v}")
     _check_target(eps)
     return _least(
-        lambda n: _finish(*_univ_core(rho, n), v) <= eps,
+        _envelope("A", _Factors((rho,)), 0, v, eps),  # A's envelope is the univariate bound
         0,
         f"target {eps} needs more than {MAX_AXIS_ORDER} nodes for rho={rho}, v={v}",
     )
 
 
 # ---------------------------------------------------------------------------
-# feasibility tests (the public bounds' own cores at V=1, times V)
+# the bounds of each selector, and their tests (the public bounds' own cores
+# at V=1, times V)
+
+#: the bounds each selector certifies with, cheapest first: a budget
+#: certifies under a selector when one of its bounds certifies it
+_SELECTOR_BOUNDS = {"A": ("A",), "B": ("B",), "COMBINED": ("B", "A"), "RECURSIVE": ("RECURSIVE",)}
 
 # every core takes an optional factor table; the A and RECURSIVE cores also
 # take the order search's optional ``stop``
@@ -231,27 +240,60 @@ _SELECTOR_CORES = {
     )[0],
 }
 
+#: each bound's public value, which re-certifies a plan
+_PUBLIC_BOUNDS = {
+    "A": lambda inputs: bound_a(inputs)[0],
+    "B": bound_b,
+    "RECURSIVE": lambda inputs: recursive_bound_B_min(inputs, MParams(0.0))[0],
+}
 
-def _make_feasible(selector: str, radii: tuple[float, ...], v: float, eps: float):
+
+def _bound_test(bound: str, radii: tuple[float, ...], v: float, eps: float, factors: _Factors):
+    """test(degrees) -> bool: does ``bound`` certify ``eps``?  See ``_make_feasible``."""
+    core = _SELECTOR_CORES[bound]
+    if bound == "B":
+        return lambda degrees: _finish(*core(radii, degrees, factors), v) <= eps
+    screen = eps * (1.0 + _FLOOR_SLACK)
+    certain = eps * (1.0 - _FLOOR_SLACK)
+
+    def stop(cand: tuple[float, float]) -> bool:
+        value = cand[0] * v
+        return cand[0] >= _TINY and _TINY <= value <= certain
+
+    def test(degrees: tuple[int, ...]) -> bool:
+        tails = [factors.tail(i, n) for i, n in enumerate(degrees)]
+        first_sum = _sum_terms([t[0] for t in tails], [t[1] for t in tails])
+        if _finish(*first_sum, v) > screen:
+            return False
+        return _finish(*core(radii, degrees, factors, stop), v) <= eps
+
+    return test
+
+
+def _make_feasible(
+    selector: str, radii: tuple[float, ...], v: float, eps: float, factors: _Factors | None = None
+):
     """feasible(degrees) -> bool: does the selected bound certify ``eps``?
 
     The decision equals ``bound(degrees) <= eps`` with COMBINED as
     ``min(A, B)``, but is taken from the cheapest sufficient evidence:
 
-    1. COMBINED: if B <= eps, so is the minimum.  B costs O(d).
-    2. A, COMBINED, RECURSIVE: the floor is the order-free first sum
+    1. A selector certifies when any of its bounds does, cheapest first
+       (``_SELECTOR_BOUNDS``): COMBINED tries B, which costs O(d), then A.
+       B's test is its core.
+    2. A and RECURSIVE: the floor is the order-free first sum
        ``sum_i 4 rho_i^-N_i / (rho_i - 1)`` times V, summed and finished
        like the bounds.  If it exceeds ``eps * (1 + _FLOOR_SLACK)``, no
        order certifies.
-    3. Otherwise the order search of the selected core decides.  It ends
+    3. Otherwise the order search of the bound's core decides.  It ends
        at the first order whose core is a normal double with ``core * V``
        a normal double at most ``eps * (1 - _FLOOR_SLACK)``: that order
        certifies, so the minimum over orders does too.
 
-    Every test reads one factor table (``bounds._Factors``), built here
-    for the radii: the tails, B's product, A's shrink and growth factors,
-    and M per set of axes and their degrees.  It lives as long as
-    ``feasible``, that is for one plan.
+    Every test reads one factor table (``bounds._Factors``): the plan's,
+    or one built here for the radii.  It holds the tails, B's product, A's
+    shrink and growth factors, and M per set of axes and their degrees,
+    and lives as long as the plan.
 
     Step 2 is exact.  The floor's terms are the same doubles as the first
     d terms of A (consistent variant) and of the recursive bound in every
@@ -276,67 +318,42 @@ def _make_feasible(selector: str, radii: tuple[float, ...], v: float, eps: float
     the margin covers that gap.  A candidate inside the margin does not
     stop the search, which then decides on the minimum as before.
     """
-    factors = _Factors(radii)
-    b_core = _SELECTOR_CORES["B"]
-    if selector == "B":
-        return lambda degrees: _finish(*b_core(radii, degrees, factors), v) <= eps
-    core = _SELECTOR_CORES["A" if selector == "COMBINED" else selector]
-    combined = selector == "COMBINED"
-    screen = eps * (1.0 + _FLOOR_SLACK)
-    certain = eps * (1.0 - _FLOOR_SLACK)
-
-    def stop(cand: tuple[float, float]) -> bool:
-        value = cand[0] * v
-        return cand[0] >= _TINY and _TINY <= value <= certain
-
-    def feasible(degrees: tuple[int, ...]) -> bool:
-        if combined and _finish(*b_core(radii, degrees, factors), v) <= eps:
-            return True
-        tails = [factors.tail(i, n) for i, n in enumerate(degrees)]
-        first_sum = _sum_terms([t[0] for t in tails], [t[1] for t in tails])
-        if _finish(*first_sum, v) > screen:
-            return False
-        return _finish(*core(radii, degrees, factors, stop), v) <= eps
-
-    return feasible
-
-
-def _certify(request: PlanRequest, budget: NodeBudget) -> float:
-    inputs = BoundInputs(request.radii, budget, request.v_bound)
-    if request.selector == "B":
-        return bound_b(inputs)
-    if request.selector == "A":
-        return bound_a(inputs)[0]
-    if request.selector == "RECURSIVE":
-        return recursive_bound_B_min(inputs, MParams(0.0))[0]
-    return bound_combined(inputs).combined
+    factors = factors or _Factors(radii)
+    tests = [_bound_test(bound, radii, v, eps, factors) for bound in _SELECTOR_BOUNDS[selector]]
+    return lambda degrees: any(test(degrees) for test in tests)
 
 
 # ---------------------------------------------------------------------------
 # per-axis lower limits from the infinite-relaxation envelopes
 
 
-def _axis_lower_limit(selector: str, radii: tuple[float, ...], axis: int, v: float, eps: float) -> int:
-    """Smallest degree axis ``axis`` can have in any certifying budget."""
+def _envelope(bound: str, factors: _Factors, axis: int, v: float, target: float):
+    """certifies(n) -> bool for ``bound`` with every axis but ``axis`` infinite.
+
+    B keeps its prefactor and radius product; A and the recursive bound
+    keep their first-sum term of ``axis``, the univariate bound.
+    """
+    if bound == "B":
+        d = len(factors.radii)
+        pref_log = (d / 2.0 + 1.0) * math.log(2.0) + 0.5 * factors.b_product[1] + math.log(v)
+        log_rho, log_target = factors.log_radii[axis], math.log(target)
+        return lambda n: pref_log - n * log_rho <= log_target
+    return lambda n: _finish(*factors.tail(axis, n)[:2], v) <= target
+
+
+def _axis_lower_limit(selector: str, factors: _Factors, axis: int, v: float, eps: float) -> int:
+    """Smallest degree axis ``axis`` can have in any certifying budget.
+
+    It is the least degree that any of the selector's bounds allows, so it
+    raises only when none of them allows one within the ceiling.
+    """
     relaxed = eps * (1.0 + _FLOOR_SLACK)
-    error = f"target {eps} needs more than {MAX_AXIS_ORDER} nodes along axis {axis}"
-    rho = radii[axis]
-
-    def univariate(n: int) -> bool:  # A and RECURSIVE share this first-sum term
-        return _finish(*_univ_core(rho, n), v) <= relaxed
-
-    d = len(radii)
-    log_product = -math.fsum(math.log1p(-r**-2) for r in radii)
-    pref_log = (d / 2.0 + 1.0) * math.log(2.0) + 0.5 * log_product + math.log(v)
-
-    def b_envelope(n: int) -> bool:
-        return pref_log - n * math.log(rho) <= math.log(relaxed)
-
-    if selector == "B":
-        return _least(b_envelope, 0, error)
-    if selector == "COMBINED":  # min of the two limits; raises only if both do
-        return _least(lambda n: univariate(n) or b_envelope(n), 0, error)
-    return _least(univariate, 0, error)
+    envelopes = [_envelope(bound, factors, axis, v, relaxed) for bound in _SELECTOR_BOUNDS[selector]]
+    return _least(
+        lambda n: any(certifies(n) for certifies in envelopes),
+        0,
+        f"target {eps} needs more than {MAX_AXIS_ORDER} nodes along axis {axis}",
+    )
 
 
 def plan_nodes(request: PlanRequest) -> Plan:
@@ -350,11 +367,9 @@ def plan_nodes(request: PlanRequest) -> Plan:
     d = len(radii)
     v = request.v_bound
     eps = request.epsilon_target
-    feasible = _make_feasible(request.selector, radii, v, eps)
-
-    lower = [
-        _axis_lower_limit(request.selector, radii, i, v, eps) for i in range(d)
-    ]
+    factors = _Factors(radii)
+    feasible = _make_feasible(request.selector, radii, v, eps, factors)
+    lower = [_axis_lower_limit(request.selector, factors, i, v, eps) for i in range(d)]
     m_star = _least(
         lambda m: feasible((m,) * d),
         max(lower),
@@ -398,7 +413,8 @@ def plan_nodes(request: PlanRequest) -> Plan:
     dfs((), 1)
 
     budget = NodeBudget(best[1])
-    certified = _certify(request, budget)
+    inputs = BoundInputs(request.radii, budget, v)
+    certified = min(_PUBLIC_BOUNDS[bound](inputs) for bound in _SELECTOR_BOUNDS[request.selector])
     if certified > eps:
         raise RuntimeError(
             "internal error: planned budget failed re-certification"

@@ -24,6 +24,7 @@ from chebbound.bounds import (
     _m_core,
     _minimise_over_orders,
     _recursive_evaluator,
+    _sum_terms,
     _winner_tag,
     bound_a,
     bound_a_for_sigma,
@@ -594,6 +595,14 @@ class TestPastTheDoubleRange:
             assert abs(mpf(got) - exact) / exact <= 1e-12
         # with every degree 0, B is at least 2^(d/2+1)
         assert bound_b(make((2.0,) * 2100, (0,) * 2100)) == math.inf
+
+    def test_finite_terms_whose_sum_overflows(self):
+        """Two terms below the largest double whose sum passes it: +inf, with the exact log."""
+        log_term = math.log(1e308)
+        value, log_value = _sum_terms([1e308, 1e308], [log_term, log_term])
+        assert value == math.inf
+        assert log_value == pytest.approx(log_term + math.log(2.0), rel=1e-15)
+        assert log_value == pytest.approx(709.889355822726, rel=1e-15)
 
     def test_finite_and_infinite_bounds_do_not_tie(self):
         assert _winner_tag(math.inf, 1e300) == "B"

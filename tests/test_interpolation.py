@@ -149,22 +149,21 @@ class TestCoefficients:
         assert dct.flags.c_contiguous
         assert np.allclose(direct, dct, atol=1e-13)
 
-    def test_transform_matrix_cached_read_only(self):
-        """One shared matrix per order, which no caller can write into."""
-        transform = interpolation_module._axis_transform_matrix
-        mat = transform(7)
-        assert transform(7) is mat
-        assert not mat.flags.writeable
-        with pytest.raises(ValueError):
-            mat[0, 0] = 1.0
-        assert np.array_equal(mat, transform.__wrapped__(7))
-
-        box = Hyperrectangle(((0.0, 2.0), (-1.0, 3.0)))
-        f = lambda x: np.exp(x[..., 0]) / (4.0 - x[..., 1])
-        samples = sample_on_grid(f, box, NodeBudget((7, 9)))
-        transform.cache_clear()
-        first = compute_coefficients(samples)
-        assert np.array_equal(compute_coefficients(samples), first)
+    def test_transform_keeps_no_matrix(self):
+        """Interpolating at orders around 200 leaves no (n+1) x (n+1) matrix behind
+        (one is 8 (n+1)^2 bytes, about 0.3 MiB)."""
+        f = lambda x: np.exp(x[..., 0]) / (4.0 - x[..., 0])
+        box = Hyperrectangle(((-1.0, 3.0),))
+        interpolate(f, box, NodeBudget((190,)))  # warm numpy's own first-call allocations
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for n in range(195, 206):
+                interpolate(f, box, NodeBudget((n,)))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 2**10
 
     def test_unknown_method(self):
         box = Hyperrectangle.unit(1)
@@ -218,6 +217,14 @@ class TestInterpolant:
         assert np.isclose(single, 0.75, atol=1e-14)
         batch = evaluate(interp, np.array([[0.25, 0.5], [-1.0, 1.0]]))
         assert batch.shape == (2,)
+
+    def test_call_is_evaluate(self):
+        box = Hyperrectangle(((-2.0, 1.0), (0.0, 1.0)))
+        interp = interpolate(lambda x: np.sin(x[..., 0]) * np.exp(x[..., 1]), box, NodeBudget((6, 5)))
+        point = np.array([0.3, 0.7])
+        points = np.array([[0.3, 0.7], [-1.5, 0.1], [1.0, 1.0]])
+        assert interp(point) == evaluate(interp, point)
+        assert np.array_equal(interp(points), evaluate(interp, points))
 
     def test_clenshaw_matches_reference_sum(self, monkeypatch):
         """evaluate() agrees with the naive basis-product sum in every shape."""
