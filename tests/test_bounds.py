@@ -602,7 +602,6 @@ class TestPastTheDoubleRange:
         value, log_value = _sum_terms([1e308, 1e308], [log_term, log_term])
         assert value == math.inf
         assert log_value == pytest.approx(log_term + math.log(2.0), rel=1e-15)
-        assert log_value == pytest.approx(709.889355822726, rel=1e-15)
 
     def test_finite_and_infinite_bounds_do_not_tie(self):
         assert _winner_tag(math.inf, 1e300) == "B"
