@@ -247,10 +247,16 @@ class _Factors:
     * ``shrink``: A's ``1 - 1/rho_j`` and their ``log1p`` form;
     * ``growth``: A's level growth factors and their logs;
     * ``m(mask, degrees, epsilon)``: M over the axes of ``mask``, whose
-      degrees are ``degrees``.
+      degrees are ``degrees``;
+    * ``chain_weights()``: A's degree-free level weights
+      ``c(S) = g_|S| / prod_{j in S} (1 - 1/rho_j)`` by bit set ``S`` of
+      axes, built on first use.
 
     Each entry takes the float operations the formulas take, so reading it
-    from the table changes no value.
+    from the table changes no value.  The chain weights, like the M values
+    of ``_MWeights``, are the exception: they feed only the planner's
+    chain-sum screen (``_chain_screen``), never a reported value, and hold
+    NaN wherever a weight is outside the normal range.
     """
 
     def __init__(self, radii: tuple[float, ...]) -> None:
@@ -267,6 +273,7 @@ class _Factors:
         self.growth = [float(g) if g < 2**1024 else math.inf for g in exact], [math.log(g) for g in exact]
         self._tails: dict[tuple[int, int], tuple[float, float, bool]] = {}
         self._m: dict[tuple, tuple[float, float]] = {}
+        self._chain: list[float] | None = None
 
     def tail(self, axis: int, n: int) -> tuple[float, float, bool]:
         key = (axis, n)
@@ -283,6 +290,45 @@ class _Factors:
             radii = tuple(r for i, r in enumerate(self.radii) if mask >> i & 1)
             found = self._m[key] = _m_core(radii, degrees, epsilon)
         return found
+
+    def chain_weights(self) -> list[float]:
+        """``c(S)`` at index ``S`` for every bit set with 1..d-1 axes, NaN elsewhere.
+
+        The table has 2^d entries, so only exhaustive searches read it.
+        ``prod_{j in S}`` runs over the axes of ``S`` from the highest down,
+        whatever the order that peels them.
+        """
+        if self._chain is None:
+            shrink = self.shrink[0]
+            growth = self.growth[0]
+            size = 1 << len(self.radii)
+            denom = [1.0] * size
+            table = [math.nan] * size
+            for mask in range(1, size - 1):
+                low = mask & -mask
+                denom[mask] = denom[mask ^ low] * shrink[low.bit_length() - 1]
+                weight = growth[mask.bit_count() - 1] / denom[mask]
+                if denom[mask] >= _TINY and weight < math.inf:
+                    table[mask] = weight
+            self._chain = table
+        return self._chain
+
+
+class _MWeights(dict):
+    """M's value at index ``S`` for the axes of ``S`` and their degrees in
+    ``degrees``, read from a factor table's ``m`` memo on first use of each
+    set, NaN outside the normal range."""
+
+    def __init__(self, factors: _Factors, degrees: tuple[int, ...], epsilon: float) -> None:
+        super().__init__()
+        self.factors, self.degrees, self.epsilon = factors, degrees, epsilon
+
+    def __missing__(self, mask: int) -> float:
+        degrees = tuple(n for i, n in enumerate(self.degrees) if mask >> i & 1)
+        value, log_value = self.factors.m(mask, degrees, self.epsilon)
+        normal = _TINY <= value < math.inf and log_value >= _POWER_LOG
+        weight = self[mask] = value if normal else math.nan
+        return weight
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +481,39 @@ def _orders(twin: list[int]):
     return extend((), 0)
 
 
+def _chain_screen(orders, heads: list[float], weights, limit: float):
+    """The first of ``orders``, then those whose chain sum is not above ``limit``.
+
+    Level ``k >= 1`` of order ``sigma`` weighs ``heads[sigma[k]] *
+    weights[S_k]``, with ``S_k`` the bit set of the first ``k`` axes; the
+    chain sum adds the levels in order, as plain doubles.  Like the
+    evaluators, each order keeps the previous order's partial sums and
+    recomputes them only from the first position where it differs.  A NaN
+    weight makes the sums NaN, and such an order is never skipped.
+
+    The first order passes unread, so a search that ends there reads no
+    weight.
+    """
+    orders = iter(orders)
+    yield next(orders)
+    d = len(heads)
+    sums = [0.0] * d  # sums[k]: the levels 1..k
+    leading = [0] * d
+    previous = (-1,) * d
+    for sigma in orders:
+        start = 0
+        while sigma[start] == previous[start]:
+            start += 1
+        previous = sigma
+        for k in range(start or 1, d):
+            mask = leading[k] = leading[k - 1] | 1 << sigma[k - 1]
+            sums[k] = sums[k - 1] + heads[sigma[k]] * weights[mask]
+        if not sums[-1] > limit:
+            yield sigma
+
+
 def _minimise_over_orders(
-    evaluate, radii: tuple[float, ...], degrees: tuple[int, ...], stop=None
+    evaluate, radii: tuple[float, ...], degrees: tuple[int, ...], stop=None, chain=None
 ):
     """((value, log), sigma_star, search): min over axis orders of evaluate(sigma).
 
@@ -458,6 +535,12 @@ def _minimise_over_orders(
     then only an upper bound on the minimum: it is at least the exhaustive
     minimum, and at least the minimum the descent would end with, since
     every order the descent evaluates is.
+
+    ``chain``, if given, is ``(heads, weights, limit)``, and the exhaustive
+    search evaluates only the orders that ``_chain_screen`` lets through:
+    the first, and those whose chain sum is at most ``limit``.  The caller
+    vouches that the skipped orders' values are of no use to it.  The
+    descent ignores ``chain``.
     """
     d = len(radii)
     keys = list(zip(radii, degrees))
@@ -470,7 +553,8 @@ def _minimise_over_orders(
     if d <= EXHAUSTIVE_ORDER_LIMIT:
         best = (math.inf, math.inf)
         best_sigma = tuple(range(d))
-        for sigma in _orders(twin):
+        orders = _orders(twin) if chain is None else _chain_screen(_orders(twin), *chain)
+        for sigma in orders:
             cand = evaluate(sigma)
             if stop is not None and stop(cand):
                 return cand, sigma, "EXHAUSTIVE"

@@ -9,9 +9,11 @@ import pytest
 
 from chebbound import bounds, planner
 from chebbound.bounds import (
+    _DIRECT_LOG,
     _TINY,
     _finish,
     _sum_terms,
+    _tail,
     _univ_core,
     BoundInputs,
     bound_a,
@@ -23,6 +25,7 @@ from chebbound.bounds import (
 from chebbound.ellipse import EllipseRadii
 from chebbound.interpolation import NodeBudget
 from chebbound.planner import (
+    _FLOOR_SLACK,
     _SELECTOR_CORES,
     _make_feasible,
     MAX_AXIS_ORDER,
@@ -390,9 +393,30 @@ class TestFeasibility:
         return counts
 
     @staticmethod
+    def count_skips(monkeypatch):
+        """Count the searches the chain-sum screen reads and the orders it skips."""
+        counts = collections.Counter()
+        screen = bounds._chain_screen
+
+        def counted(orders, *chain):
+            counts["screened"] += 1
+
+            def pulled(orders):
+                for sigma in orders:
+                    counts["skipped"] += 1
+                    yield sigma
+
+            for sigma in screen(pulled(orders), *chain):
+                counts["skipped"] -= 1
+                yield sigma
+
+        monkeypatch.setattr(bounds, "_chain_screen", counted)
+        return counts
+
+    @staticmethod
     def cases(rng):
         """(radii, degrees, V): random draws, then the edges of the early exit."""
-        for d, count in ((1, 12), (2, 12), (3, 10), (4, 8), (5, 4), (6, 3)):
+        for d, count in ((1, 12), (2, 12), (3, 10), (4, 8), (5, 4), (6, 3), (7, 2)):
             for _ in range(count):
                 radii = tuple(math.exp(rng.uniform(math.log(1.05), math.log(6.0))) for _ in range(d))
                 # about half the degrees put their tail past the direct-sum threshold
@@ -416,14 +440,20 @@ class TestFeasibility:
             yield radii, degrees, 1e300
 
     def test_matches_unscreened_decision(self, monkeypatch):
-        """B first, the first-sum screen and the early exit never change a decision, on either summation path."""
+        """B first, the first-sum screen, the early exit and the chain-sum screen
+        never change a decision, on either summation path."""
         rng = random.Random(20261019)
         counts = self.count_core_calls(monkeypatch)
         orders = self.count_orders(monkeypatch)
-        searched = stopped = decided = 0
+        skips = self.count_skips(monkeypatch)
+        searched = stopped = decided = stood_down = 0
         for radii, degrees, v in self.cases(rng):
             cores = [_univ_core(r, n) for r, n in zip(radii, degrees)]
             first_sum = _finish(*_sum_terms([c[0] for c in cores], [c[1] for c in cores]), v)
+            # the chain-sum screen reads only direct tails summed directly
+            log_path = max(c[1] for c in cores) < _DIRECT_LOG or not all(
+                _tail(r, n, r)[2] for r, n in zip(radii, degrees)
+            )
             for selector in ("A", "COMBINED", "RECURSIVE"):
                 bound = unscreened_bound(selector, radii, degrees, v)
                 # the selected order search's minimum, finished
@@ -439,35 +469,49 @@ class TestFeasibility:
                     winning * (1.0 + 1e-9),
                     winning * (1.0 - 1e-9),
                     10.0 ** rng.uniform(-308.0, 1.0),
+                    # the least minimum just inside and just outside the chain-sum margin
+                    winning / (1.0 + _FLOOR_SLACK) * (1.0 + 1e-12),
+                    winning / (1.0 + _FLOOR_SLACK) * (1.0 - 1e-12),
                 }
                 for eps in sorted(min(max(t, _TINY), 10.0) for t in targets):
                     before = counts["A"] + counts["RECURSIVE"]
+                    screened, skipped = skips["screened"], skips["skipped"]
                     orders.clear()
                     got = _make_feasible(selector, radii, v, eps)(degrees)
                     if counts["A"] + counts["RECURSIVE"] > before:
                         searched += 1
-                        stopped += sum(orders.values()) < math.factorial(len(radii))
+                        visited = sum(orders.values()) + skips["skipped"] - skipped
+                        stopped += visited < math.factorial(len(radii))
+                        if log_path:
+                            assert skips["screened"] == screened, (selector, radii, degrees, v, eps)
+                            stood_down += 1
                     decided += 1
                     assert got == (bound <= eps), (selector, radii, degrees, v, eps)
         # the screens, a full order search and an early exit each decided some tests
         assert 0 < stopped < searched < decided
+        # the chain-sum screen skipped orders, and stood down on the log path
+        assert skips["screened"] > 0 and skips["skipped"] > 0 and stood_down > 0
 
     def test_order_searches_on_d4_problems(self, monkeypatch):
         """Deterministic counts: B settles passing tests, the first sum failing ones,
-        and a search ends at its first certifying order."""
+        a search ends at its first certifying order, and the chain-sum screen
+        skips most orders of the failing searches."""
         searches = self.count_core_calls(monkeypatch)
         orders = self.count_orders(monkeypatch)
+        skips = self.count_skips(monkeypatch)
         totals = {}
         for selector in ("COMBINED", "RECURSIVE"):
             searches.clear()
             orders.clear()
+            skips.clear()
             for rho, eps in D4_PROBLEMS:
                 plan_nodes(PlanRequest(EllipseRadii(rho), 1.0, eps, selector))
-            totals[selector] = (dict(searches), dict(orders))
-        # the orders include the full searches of the six re-certifications
+            totals[selector] = (dict(searches), dict(orders), skips["skipped"])
+        # the orders include the full searches of the six re-certifications;
+        # evaluated and skipped A orders add up to the 42122 an unscreened plan evaluates
         assert totals == {
-            "COMBINED": ({"A": 2267, "B": 3077}, {"A": 42122}),
-            "RECURSIVE": ({"RECURSIVE": 275}, {"RECURSIVE": 419}),
+            "COMBINED": ({"A": 2267, "B": 3077}, {"A": 2705}, 39417),
+            "RECURSIVE": ({"RECURSIVE": 275}, {"RECURSIVE": 419}, 0),
         }
 
 
@@ -513,17 +557,79 @@ class TestFactorTables:
         assert max(calls.values()) == 2
 
 
-class TestStopPastEightAxes:
-    """The pairwise-swap search (d > 8) ends at the first order that certifies."""
+class TestChainScreen:
+    """Up to 8 axes a failing test skips the orders whose chain sum misses the target."""
 
     @staticmethod
-    def without_stop(monkeypatch):
+    def without_chain(monkeypatch):
+        """Search with the stop but without the chain-sum screen."""
         for key in ("A", "RECURSIVE"):
             core = _SELECTOR_CORES[key]
             monkeypatch.setitem(
                 _SELECTOR_CORES,
                 key,
-                lambda radii, degrees, factors=None, stop=None, core=core: core(radii, degrees, factors),
+                lambda radii, degrees, factors=None, stop=None, chain=None, core=core: core(
+                    radii, degrees, factors, stop
+                ),
+            )
+
+    def test_d5_to_d7_plans_equal_the_unscreened_search(self, monkeypatch):
+        rng = random.Random(1)
+        requests = []
+        # wider radii and looser targets as d grows keep the test within seconds
+        for d, low, high, eps_log in ((5, 2.0, 10.0, -6.0), (6, 100.0, 1e3, -3.5), (7, 1e3, 1e4, -3.5)):
+            radii = tuple(math.exp(rng.uniform(math.log(low), math.log(high))) for _ in range(d))
+            eps = 10.0 ** rng.uniform(eps_log - 0.5, eps_log + 0.5)
+            requests += [PlanRequest(EllipseRadii(radii), 1.0, eps, s) for s in ("A", "COMBINED", "RECURSIVE")]
+        skips = TestFeasibility.count_skips(monkeypatch)
+        screened = [plan_nodes(r) for r in requests]
+        assert skips["skipped"] > 0
+        self.without_chain(monkeypatch)
+        for request, plan in zip(requests, screened):
+            unscreened = plan_nodes(request)
+            assert plan.budget == unscreened.budget, request
+            assert plan.certified_bound.hex() == unscreened.certified_bound.hex(), request
+
+    def test_set_table_only_for_exhaustive_searches(self, monkeypatch):
+        """A plan up to 8 axes builds A's table of 2^d chain weights once; the
+        90-axis public searches and a 12-axis plan read no set weights at all."""
+        built = []
+        chain_weights, m_weights = bounds._Factors.chain_weights, planner._MWeights
+
+        def counted_chain(self):
+            if self._chain is None:
+                built.append(("A", len(self.radii)))
+            return chain_weights(self)
+
+        def counted_m(factors, degrees, epsilon):
+            built.append(("RECURSIVE", len(factors.radii)))
+            return m_weights(factors, degrees, epsilon)
+
+        monkeypatch.setattr(bounds._Factors, "chain_weights", counted_chain)
+        monkeypatch.setattr(planner, "_MWeights", counted_m)
+        inputs = BoundInputs(EllipseRadii((1.0001,) * 90), NodeBudget((0,) * 90), 1.0)
+        bound_a(inputs)
+        recursive_bound_B_min(inputs)
+        # both 12-axis plans run order searches: A 510 of them, RECURSIVE 13
+        for selector in ("A", "RECURSIVE"):
+            plan_nodes(PlanRequest(EllipseRadii(tuple(1e3 * i for i in range(1, 13))), 1.0, 300.0, selector))
+        assert built == []
+        plan_nodes(PlanRequest(EllipseRadii(D4_PROBLEMS[0][0]), 1.0, D4_PROBLEMS[0][1], "A"))
+        assert built == [("A", 4)]
+
+
+class TestStopPastEightAxes:
+    """The pairwise-swap search (d > 8) ends at the first order that certifies."""
+
+    @staticmethod
+    def without_stop(monkeypatch):
+        """Search as the public bounds do: neither the stop nor the chain-sum screen."""
+        for key in ("A", "RECURSIVE"):
+            core = _SELECTOR_CORES[key]
+            monkeypatch.setitem(
+                _SELECTOR_CORES,
+                key,
+                lambda radii, degrees, factors=None, *screens, core=core: core(radii, degrees, factors),
             )
 
     def test_matches_unscreened_decision(self):
