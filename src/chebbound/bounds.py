@@ -253,10 +253,10 @@ class _Factors:
       axes, built on first use.
 
     Each entry takes the float operations the formulas take, so reading it
-    from the table changes no value.  The chain weights, like the M values
-    of ``_MWeights``, are the exception: they feed only the planner's
-    chain-sum screen (``_chain_screen``), never a reported value, and hold
-    NaN wherever a weight is outside the normal range.
+    from the table changes no value.  The chain weights are the exception:
+    they feed only the planner's chain-sum screen of A's test
+    (``_chain_screen``), never a reported value, and hold NaN wherever a
+    weight is outside the normal range.
     """
 
     def __init__(self, radii: tuple[float, ...]) -> None:
@@ -312,23 +312,6 @@ class _Factors:
                     table[mask] = weight
             self._chain = table
         return self._chain
-
-
-class _MWeights(dict):
-    """M's value at index ``S`` for the axes of ``S`` and their degrees in
-    ``degrees``, read from a factor table's ``m`` memo on first use of each
-    set, NaN outside the normal range."""
-
-    def __init__(self, factors: _Factors, degrees: tuple[int, ...], epsilon: float) -> None:
-        super().__init__()
-        self.factors, self.degrees, self.epsilon = factors, degrees, epsilon
-
-    def __missing__(self, mask: int) -> float:
-        degrees = tuple(n for i, n in enumerate(self.degrees) if mask >> i & 1)
-        value, log_value = self.factors.m(mask, degrees, self.epsilon)
-        normal = _TINY <= value < math.inf and log_value >= _POWER_LOG
-        weight = self[mask] = value if normal else math.nan
-        return weight
 
 
 # ---------------------------------------------------------------------------

@@ -34,12 +34,13 @@ RECURSIVE reject a budget whose order-free first sum
 ``V sum_i 4 rho_i^-N_i / (rho_i - 1)`` already exceeds the target; only the
 rest pay for the search over axis orders.  The planner asks only whether
 some order certifies, so that search ends at the first order whose bound is
-below the target by a relative margin of 1e-9.  Up to 8 axes it also skips,
-unevaluated, every order after the first whose chain sum (each level's tail
-times a weight of its set of leading axes) already puts the bound above the
-target by that margin, so most failing tests evaluate one order; past 8
-axes a failing test still visits every order of the descent.  The tests and
-the search box of one plan share one table of the bounds' factors
+below the target by a relative margin of 1e-9.  Up to 8 axes A's search
+also skips, unevaluated, every order after the first whose chain sum (each
+level's tail times a degree-free weight of its set of leading axes)
+already puts the bound above the target by that margin, so most failing A
+tests evaluate one order.  A failing recursive test, and past 8 axes any
+failing test, still visits every order of its search.  The tests and the
+search box of one plan share one table of the bounds' factors
 (``bounds._Factors``), which also holds A's chain weights.
 
 Objective ties prefer the lexicographically smallest budget.  The search
@@ -68,7 +69,6 @@ from .bounds import (
     _DIRECT_LOG,
     _TINY,
     _Factors,
-    _MWeights,
     _bound_a_evaluator,
     _bound_b_core,
     _finish,
@@ -235,21 +235,15 @@ def invert_univariate(rho: float, v: float, eps: float) -> int:
 _SELECTOR_BOUNDS = {"A": ("A",), "B": ("B",), "COMBINED": ("B", "A"), "RECURSIVE": ("RECURSIVE",)}
 
 # every core takes an optional factor table; the A and RECURSIVE cores also
-# take the order search's optional ``stop`` and ``chain``
+# take the order search's optional ``stop``, and A's its optional ``chain``
 _SELECTOR_CORES = {
     "A": lambda radii, degrees, factors=None, stop=None, chain=None: _minimise_over_orders(
         _bound_a_evaluator(radii, degrees, "consistent", factors), radii, degrees, stop, chain
     )[0],
     "B": _bound_b_core,
-    "RECURSIVE": lambda radii, degrees, factors=None, stop=None, chain=None: _minimise_over_orders(
-        _recursive_evaluator(radii, degrees, 0.0, factors), radii, degrees, stop, chain
+    "RECURSIVE": lambda radii, degrees, factors=None, stop=None: _minimise_over_orders(
+        _recursive_evaluator(radii, degrees, 0.0, factors), radii, degrees, stop
     )[0],
-}
-
-#: the set weights of the A and RECURSIVE chain sums, from the plan's table
-_CHAIN_WEIGHTS = {
-    "A": lambda factors, degrees: factors.chain_weights(),
-    "RECURSIVE": lambda factors, degrees: _MWeights(factors, degrees, 0.0),
 }
 
 #: each bound's public value, which re-certifies a plan
@@ -267,7 +261,7 @@ def _bound_test(bound: str, radii: tuple[float, ...], v: float, eps: float, fact
         return lambda degrees: _finish(*core(radii, degrees, factors), v) <= eps
     screen = eps * (1.0 + _FLOOR_SLACK)
     certain = eps * (1.0 - _FLOOR_SLACK)
-    weights = _CHAIN_WEIGHTS[bound] if len(radii) <= EXHAUSTIVE_ORDER_LIMIT else None
+    chained = bound == "A" and len(radii) <= EXHAUSTIVE_ORDER_LIMIT
 
     def stop(cand: tuple[float, float]) -> bool:
         value = cand[0] * v
@@ -280,10 +274,10 @@ def _bound_test(bound: str, radii: tuple[float, ...], v: float, eps: float, fact
         first_sum = _sum_terms(heads, logs)
         if _finish(*first_sum, v) > screen:
             return False
-        chain = None
-        if weights is not None and max(logs) >= _DIRECT_LOG and all(t[2] for t in tails):
-            chain = heads, weights(factors, degrees), screen / v - first_sum[0]
-        return _finish(*core(radii, degrees, factors, stop, chain), v) <= eps
+        if chained and max(logs) >= _DIRECT_LOG and all(t[2] for t in tails):
+            chain = heads, factors.chain_weights(), screen / v - first_sum[0]
+            return _finish(*core(radii, degrees, factors, stop, chain), v) <= eps
+        return _finish(*core(radii, degrees, factors, stop), v) <= eps
 
     return test
 
@@ -307,16 +301,17 @@ def _make_feasible(
        at the first order whose core is a normal double with ``core * V``
        a normal double at most ``eps * (1 - _FLOOR_SLACK)``: that order
        certifies, so the minimum over orders does too.
-    4. Up to ``EXHAUSTIVE_ORDER_LIMIT`` axes the search evaluates the first
-       order, then only the orders whose chain sum is at most
+    4. A, up to ``EXHAUSTIVE_ORDER_LIMIT`` axes: the search evaluates the
+       first order, then only the orders whose chain sum is at most
        ``eps * (1 + _FLOOR_SLACK) / V`` minus step 2's first sum
        (``bounds._chain_screen``).  The chain sum adds the levels
        ``k = 1..d-1`` of the order as plain doubles: level ``k`` is
-       ``t_{sigma_k} c(S_k)`` for A, with ``S_k`` the set of the first ``k``
-       axes and ``c(S) = g_|S| / prod_{j in S} (1 - 1/rho_j)`` from the
-       table's ``chain_weights``, and ``t_{sigma_k} M(S_k)`` for the
-       recursive bound, from its ``m`` memo.  A search that skips every
-       order after the first returns the first order's value.
+       ``t_{sigma_k} c(S_k)``, with ``S_k`` the set of the first ``k`` axes
+       and ``c(S) = g_|S| / prod_{j in S} (1 - 1/rho_j)`` from the table's
+       ``chain_weights``.  A search that skips every order after the first
+       returns the first order's value.  The recursive bound has no such
+       screen: its levels need M at the test's degrees, the cost of its
+       evaluator, so a skipped order would save next to nothing.
 
     Every test reads one factor table (``bounds._Factors``): the plan's,
     or one built here for the radii.  It holds the tails, B's product, A's
@@ -351,21 +346,18 @@ def _make_feasible(
     ``eps``, so that order neither stops the search nor can certify, and
     the decision is the one over every order.  Its bound is the correctly
     rounded sum of the first-sum terms and of its levels, and the chain
-    sum differs from the exact sum of those levels only by roundings: A's
+    sum differs from the exact sum of those levels only by roundings: the
     order-free product ``prod_{j in S}`` against the evaluator's running
     product in peeling order, with the division and product around each
-    (at most 2d roundings per level; the recursive levels are the
-    evaluator's own products), and the plain sum of at most d - 1
+    (at most 2d roundings per level), and the plain sum of at most d - 1
     nonnegative levels (d - 2 roundings).  With the subtraction, the
     division by V, the first sum, the bound's own sum and ``_finish``, an
     order above the limit has a bound above ``eps * (1 + _FLOOR_SLACK)``
     less at most 3d + 3 roundings, under 3e-15 relative at d = 8, far
-    inside the margin; a recursive level the evaluator takes through logs
-    differs by about 1e-13 relative, also inside it.  The screen stands
-    down, and the search runs as in step 3, when a tail or the first sum
-    is on the log path.  A weight outside the normal range (subnormal or
-    infinite, or M with its log below the direct range) is NaN in the
-    tables, and an order that reads one is never skipped.
+    inside the margin.  The screen stands down, and the search runs as in
+    step 3, when a tail or the first sum is on the log path.  A weight
+    outside the normal range (subnormal or infinite) is NaN in the table,
+    and an order that reads one is never skipped.
     """
     factors = factors or _Factors(radii)
     tests = [_bound_test(bound, radii, v, eps, factors) for bound in _SELECTOR_BOUNDS[selector]]

@@ -179,19 +179,23 @@ class TestPlanNodes:
         assert (plan.grid_points, plan.budget.degrees) == expected
 
     @pytest.mark.parametrize(
-        "budget",
-        [(32, 23, 19, 16, 15, 14), (31, 23, 19, 17, 15, 14, 13)],
-        ids=["d6", "d7"],
+        "rho, eps, budget",
+        [
+            ((2.0, 2.5, 3.0, 3.5, 4.0, 4.5), 1e-8, (32, 23, 19, 16, 15, 14)),
+            ((2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0), 1e-8, (31, 23, 19, 17, 15, 14, 13)),
+            # radii near 1: most orders of a failing search have bounds far above eps
+            ((1.05, 1.1, 1.2, 1.3), 1e-3, (265, 126, 62, 41)),
+        ],
+        ids=["d6", "d7", "d4-near-1"],
     )
-    def test_recursive_in_high_dimension(self, budget):
-        """Radii 2, 2.5, ...: the plan, and no axis of it can drop a degree."""
-        rho = tuple(2.0 + 0.5 * i for i in range(len(budget)))
-        plan = plan_nodes(PlanRequest(EllipseRadii(rho), 1.0, 1e-8, "RECURSIVE"))
+    def test_recursive_in_high_dimension(self, rho, eps, budget):
+        """The plan, and no axis of it can drop a degree."""
+        plan = plan_nodes(PlanRequest(EllipseRadii(rho), 1.0, eps, "RECURSIVE"))
         assert plan.budget.degrees == budget
         for axis in range(len(rho)):
             lowered = list(budget)
             lowered[axis] -= 1
-            assert selector_value("RECURSIVE", rho, lowered, 1.0) > 1e-8
+            assert selector_value("RECURSIVE", rho, lowered, 1.0) > eps
 
     def test_bound_is_infeasible_below_optimum(self):
         """Shrinking any axis of the returned budget must break certification."""
@@ -495,7 +499,7 @@ class TestFeasibility:
     def test_order_searches_on_d4_problems(self, monkeypatch):
         """Deterministic counts: B settles passing tests, the first sum failing ones,
         a search ends at its first certifying order, and the chain-sum screen
-        skips most orders of the failing searches."""
+        skips most orders of the failing A searches and reads no recursive one."""
         searches = self.count_core_calls(monkeypatch)
         orders = self.count_orders(monkeypatch)
         skips = self.count_skips(monkeypatch)
@@ -506,12 +510,12 @@ class TestFeasibility:
             skips.clear()
             for rho, eps in D4_PROBLEMS:
                 plan_nodes(PlanRequest(EllipseRadii(rho), 1.0, eps, selector))
-            totals[selector] = (dict(searches), dict(orders), skips["skipped"])
+            totals[selector] = (dict(searches), dict(orders), skips["screened"], skips["skipped"])
         # the orders include the full searches of the six re-certifications;
         # evaluated and skipped A orders add up to the 42122 an unscreened plan evaluates
         assert totals == {
-            "COMBINED": ({"A": 2267, "B": 3077}, {"A": 2705}, 39417),
-            "RECURSIVE": ({"RECURSIVE": 275}, {"RECURSIVE": 419}, 0),
+            "COMBINED": ({"A": 2267, "B": 3077}, {"A": 2705}, 2267, 39417),
+            "RECURSIVE": ({"RECURSIVE": 275}, {"RECURSIVE": 419}, 0, 0),
         }
 
 
@@ -558,20 +562,17 @@ class TestFactorTables:
 
 
 class TestChainScreen:
-    """Up to 8 axes a failing test skips the orders whose chain sum misses the target."""
+    """Up to 8 axes a failing A test skips the orders whose chain sum misses the target."""
 
     @staticmethod
     def without_chain(monkeypatch):
-        """Search with the stop but without the chain-sum screen."""
-        for key in ("A", "RECURSIVE"):
-            core = _SELECTOR_CORES[key]
-            monkeypatch.setitem(
-                _SELECTOR_CORES,
-                key,
-                lambda radii, degrees, factors=None, stop=None, chain=None, core=core: core(
-                    radii, degrees, factors, stop
-                ),
-            )
+        """Search A with the stop but without the chain-sum screen."""
+        core = _SELECTOR_CORES["A"]
+        monkeypatch.setitem(
+            _SELECTOR_CORES,
+            "A",
+            lambda radii, degrees, factors=None, stop=None, chain=None: core(radii, degrees, factors, stop),
+        )
 
     def test_d5_to_d7_plans_equal_the_unscreened_search(self, monkeypatch):
         rng = random.Random(1)
@@ -580,7 +581,7 @@ class TestChainScreen:
         for d, low, high, eps_log in ((5, 2.0, 10.0, -6.0), (6, 100.0, 1e3, -3.5), (7, 1e3, 1e4, -3.5)):
             radii = tuple(math.exp(rng.uniform(math.log(low), math.log(high))) for _ in range(d))
             eps = 10.0 ** rng.uniform(eps_log - 0.5, eps_log + 0.5)
-            requests += [PlanRequest(EllipseRadii(radii), 1.0, eps, s) for s in ("A", "COMBINED", "RECURSIVE")]
+            requests += [PlanRequest(EllipseRadii(radii), 1.0, eps, s) for s in ("A", "COMBINED")]
         skips = TestFeasibility.count_skips(monkeypatch)
         screened = [plan_nodes(r) for r in requests]
         assert skips["skipped"] > 0
@@ -591,31 +592,30 @@ class TestChainScreen:
             assert plan.certified_bound.hex() == unscreened.certified_bound.hex(), request
 
     def test_set_table_only_for_exhaustive_searches(self, monkeypatch):
-        """A plan up to 8 axes builds A's table of 2^d chain weights once; the
-        90-axis public searches and a 12-axis plan read no set weights at all."""
+        """An A plan up to 8 axes builds its table of 2^d chain weights once; the
+        90-axis public searches, 12-axis plans and RECURSIVE plans of 4 and 8
+        axes never reach the screen."""
         built = []
-        chain_weights, m_weights = bounds._Factors.chain_weights, planner._MWeights
+        chain_weights = bounds._Factors.chain_weights
 
         def counted_chain(self):
             if self._chain is None:
-                built.append(("A", len(self.radii)))
+                built.append(len(self.radii))
             return chain_weights(self)
 
-        def counted_m(factors, degrees, epsilon):
-            built.append(("RECURSIVE", len(factors.radii)))
-            return m_weights(factors, degrees, epsilon)
-
         monkeypatch.setattr(bounds._Factors, "chain_weights", counted_chain)
-        monkeypatch.setattr(planner, "_MWeights", counted_m)
+        skips = TestFeasibility.count_skips(monkeypatch)
         inputs = BoundInputs(EllipseRadii((1.0001,) * 90), NodeBudget((0,) * 90), 1.0)
         bound_a(inputs)
         recursive_bound_B_min(inputs)
         # both 12-axis plans run order searches: A 510 of them, RECURSIVE 13
         for selector in ("A", "RECURSIVE"):
             plan_nodes(PlanRequest(EllipseRadii(tuple(1e3 * i for i in range(1, 13))), 1.0, 300.0, selector))
-        assert built == []
+        plan_nodes(PlanRequest(EllipseRadii(D4_PROBLEMS[0][0]), 1.0, D4_PROBLEMS[0][1], "RECURSIVE"))
+        plan_nodes(PlanRequest(EllipseRadii(tuple(2.0 + 0.5 * i for i in range(8))), 1.0, 1e-8, "RECURSIVE"))
+        assert built == [] and skips["screened"] == 0
         plan_nodes(PlanRequest(EllipseRadii(D4_PROBLEMS[0][0]), 1.0, D4_PROBLEMS[0][1], "A"))
-        assert built == [("A", 4)]
+        assert built == [4] and skips["screened"] > 0
 
 
 class TestStopPastEightAxes:
